@@ -11,17 +11,13 @@ from .coefficients import (
     expand,
     factorize_g,
     g_coefficient,
+    g_coefficients,
 )
 from .delta_engine import (
-    CanonicalKey,
     DeltaSpec,
     MemoCache,
-    canonicalize,
-    child_spec,
     evaluate,
     materialize,
-    pivot_tuples,
-    try_factorize,
     weight_ok,
 )
 from .hyperdet import (
@@ -51,15 +47,12 @@ from .partitions import (
 __all__ = [
     "AdmissibleBounds",
     "BudgetError",
-    "CanonicalKey",
     "DeltaSpec",
     "DenseTensor",
     "DiscreteMeasure",
     "FunctionTable",
     "MemoCache",
     "SchurExpansion",
-    "canonicalize",
-    "child_spec",
     "count_vanishing",
     "det_direct",
     "dominates",
@@ -68,6 +61,7 @@ __all__ = [
     "expand",
     "factorize_g",
     "g_coefficient",
+    "g_coefficients",
     "hankel_tensor",
     "heine_lhs",
     "heine_rhs",
@@ -76,9 +70,7 @@ __all__ = [
     "laplace_sign",
     "materialize",
     "minor",
-    "pivot_tuples",
     "schur_expansion_bruteforce",
-    "try_factorize",
     "vandermonde_power",
     "weight_ok",
 ]

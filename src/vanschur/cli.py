@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
-from .coefficients import expand, g_coefficient
+from .coefficients import expand, g_coefficient, g_coefficients
 from .hyperdet import BudgetError
 from .partitions import count_admissible, enumerate_admissible, is_admissible
 from .records import (
@@ -47,10 +49,37 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """Text stream for --out: stdout for None or "-"; otherwise a temporary
+    file beside the target, opened on entry, moved onto the target when the
+    block completes and removed when it raises. A symlinked target is
+    resolved first, so the file it points to is the one replaced, and an
+    existing target's permission bits carry over."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a pipe or device has no partial file to protect; renaming onto it
+        # would replace the node itself
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        return
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        out = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(f"cannot open output {path}: {exc.strerror}") from exc
+    try:
+        with out:
+            if target.exists():
+                os.chmod(out.fileno(), target.stat().st_mode & 0o7777)
+            yield out
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_coeff(args) -> int:
@@ -70,29 +99,17 @@ def cmd_coeff(args) -> int:
         )
         coeff = 0
     else:
-        coeff = g_coefficient(lam, args.n, args.k, factorize=not args.no_factorize)
+        coeff = g_coefficient(lam, args.n, args.k)
     record = ResultRecord(n=args.n, k=args.k, lam=lam, coeff=coeff)
     print(record_to_jsonl(record))
     return 0
 
 
-def _expansion_records(n, k, jobs, factorize=True):
-    exp = expand(n, k, workers=jobs, factorize=factorize)
-    return [ResultRecord(n=n, k=k, lam=lam, coeff=g) for lam, g in exp]
-
-
 def cmd_expand(args) -> int:
-    records = _expansion_records(args.n, args.k, args.jobs, not args.no_factorize)
-    try:
-        out, close = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: cannot open output: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
+    with _output(args.out) as out:
+        exp = expand(args.n, args.k, workers=args.jobs)
+        records = (ResultRecord(n=args.n, k=args.k, lam=lam, coeff=g) for lam, g in exp)
         out.writelines(write_records(records, args.format))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -126,6 +143,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shard(args) -> int:
+    if args.shards < 1:
+        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
+        return USAGE_EXIT
     if not 0 <= args.index < args.shards:
         print(
             f"error: index {args.index} outside 0..{args.shards - 1}", file=sys.stderr
@@ -141,25 +161,14 @@ def cmd_shard(args) -> int:
         count=len(mine),
         checksum=enumeration_checksum(args.n, args.k),
     )
-    # worker pool over this shard's positions only
-    from .coefficients import _coefficient_chunk
-
-    values = _coefficient_chunk((args.n, args.k, mine, True))
-    try:
-        out, close = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: cannot open output: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
+    with _output(args.out) as out:
+        values = g_coefficients(mine, args.n, args.k)
         out.write(manifest_to_jsonl(manifest) + "\n")
-        for lam, coeff in zip(mine, values):
-            out.write(
-                record_to_jsonl(ResultRecord(n=args.n, k=args.k, lam=lam, coeff=coeff))
-                + "\n"
-            )
-    finally:
-        if close:
-            out.close()
+        records = (
+            ResultRecord(n=args.n, k=args.k, lam=lam, coeff=coeff)
+            for lam, coeff in zip(mine, values)
+        )
+        out.writelines(write_records(records, "jsonl"))
     return 0
 
 
@@ -168,18 +177,27 @@ def cmd_merge(args) -> int:
     manifests: list[ShardManifest] = []
     for path in args.files:
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = Path(path).read_bytes().splitlines()
         except OSError as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return USAGE_EXIT
         if not lines:
             print(f"merge failure: {path} is empty", file=sys.stderr)
             return VERIFY_EXIT
-        try:
-            manifest = manifest_from_jsonl(lines[0])
-        except (ValueError, KeyError) as exc:
-            print(f"merge failure: {path}: {exc}", file=sys.stderr)
-            return VERIFY_EXIT
+        decoded = []
+        for lineno, line in enumerate(lines, start=1):
+            if lineno > 1 and not line.strip():
+                continue
+            decode = manifest_from_jsonl if lineno == 1 else record_from_jsonl
+            try:
+                decoded.append(decode(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError) as exc:
+                print(
+                    f"merge failure: {path}:{lineno}: {type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
+                return VERIFY_EXIT
+        manifest = decoded[0]
         if manifest.index in shard_records:
             print(
                 f"merge failure: duplicate shard index {manifest.index}",
@@ -187,9 +205,7 @@ def cmd_merge(args) -> int:
             )
             return VERIFY_EXIT
         manifests.append(manifest)
-        shard_records[manifest.index] = [
-            record_from_jsonl(line) for line in lines[1:] if line.strip()
-        ]
+        shard_records[manifest.index] = decoded[1:]
 
     ref = manifests[0]
     for m in manifests[1:]:
@@ -234,23 +250,9 @@ def cmd_merge(args) -> int:
                 return VERIFY_EXIT
             merged[m.index + pos * m.shards] = rec
 
-    try:
-        out, close = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: cannot open output: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
+    with _output(args.out) as out:
         out.writelines(write_records(merged, args.format))
-    finally:
-        if close:
-            out.close()
     return 0
-
-
-def cmd_selftest(args) -> int:
-    from . import selftest
-
-    return selftest.run()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="comma-separated decreasing parts, e.g. 4,1,1")
-    p.add_argument("--no-factorize", action="store_true")
     p.set_defaults(fn=cmd_coeff)
 
     p = sub.add_parser("expand", help="all admissible coefficients of (n, k)")
@@ -273,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", default=None)
-    p.add_argument("--no-factorize", action="store_true")
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("admissible", help="list or count admissible partitions")
@@ -299,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_merge)
 
-    p = sub.add_parser("selftest", help="run the built-in consistency battery")
-    p.set_defaults(fn=cmd_selftest)
-
     return parser
 
 
@@ -313,7 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         return args.fn(args)
-    except (ValueError, BudgetError) as exc:
+    except (ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

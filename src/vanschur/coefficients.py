@@ -7,11 +7,12 @@ evaluation, so full expansions distribute trivially over workers.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .delta_engine import DeltaSpec, MemoCache, evaluate
+from .delta_engine import DeltaSpec, MemoCache, _split, evaluate
 from .partitions import IntVec, as_partition, enumerate_admissible, is_admissible
 
 
@@ -37,12 +38,7 @@ class SchurExpansion:
 
 
 def g_coefficient(
-    lam: Iterable[int],
-    n: int,
-    k: int,
-    cache: MemoCache | None = None,
-    *,
-    factorize: bool = True,
+    lam: Iterable[int], n: int, k: int, cache: MemoCache | None = None
 ) -> int:
     """Single expansion coefficient, computed without touching the others.
 
@@ -54,35 +50,50 @@ def g_coefficient(
     if not is_admissible(lam, n, k):
         return 0
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    # perfbench's test_wrong_value_is_a_failure plants a wrong value by
+    # matching the return line verbatim; keep its text until that test changes
+    factorize = True
     return sign * evaluate(DeltaSpec.for_coefficient(lam, n, k), cache, factorize=factorize)
 
 
-def _coefficient_chunk(args) -> list[int]:
-    n, k, lams, factorize = args
+def _stripe(args) -> list[int]:
+    lams, n, k = args
     cache = MemoCache()
-    return [g_coefficient(lam, n, k, cache, factorize=factorize) for lam in lams]
+    return [g_coefficient(lam, n, k, cache) for lam in lams]
 
 
-def expand(
-    n: int, k: int, workers: int = 1, *, factorize: bool = True
-) -> SchurExpansion:
+def g_coefficients(
+    lams: Sequence[IntVec], n: int, k: int, workers: int = 1
+) -> list[int]:
+    """Coefficients of the given partitions of (n, k), in the order given.
+
+    One process shares one memo across all of them. With more than one
+    worker, position j goes to stripe j mod W, each stripe a process with its
+    own memo. W is capped at the CPU count, and the pool is used only when
+    every stripe gets at least two partitions.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
+    if workers == 1 or len(lams) < 2 * workers:
+        return _stripe((lams, n, k))
+    values = [0] * len(lams)
+    stripes = [(lams[j::workers], n, k) for j in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for j, chunk in enumerate(pool.map(_stripe, stripes)):
+            values[j::workers] = chunk
+    return values
+
+
+def expand(n: int, k: int, workers: int = 1) -> SchurExpansion:
     """Coefficients of every admissible partition of (n, k).
 
     The output is identical for any worker count: coefficients are
     independent, and the result is assembled in enumeration order rather
     than completion order.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     lams = list(enumerate_admissible(n, k))
-    if workers == 1 or len(lams) < 2 * workers:
-        values = _coefficient_chunk((n, k, lams, factorize))
-    else:
-        stripes = [(n, k, lams[j::workers], factorize) for j in range(workers)]
-        values = [0] * len(lams)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for j, chunk in enumerate(pool.map(_coefficient_chunk, stripes)):
-                values[j :: workers] = chunk
+    values = g_coefficients(lams, n, k, workers)
     return SchurExpansion(n=n, k=k, terms=dict(zip(lams, values)))
 
 
@@ -97,21 +108,17 @@ def factorize_g(
 ) -> tuple[IntVec, IntVec, int, int] | None:
     """Coefficient-level factorization split, when one exists.
 
-    Fires at the smallest cut 0 < m < n whose trailing n-m parts weigh
-    exactly k(n-m)(n-m-1); then g(lam; n, k) = g(mu; m, k) * g(nu; n-m, k)
-    with mu the m leading parts lowered by 2k(n-m) and nu the trailing
-    parts. Returns (mu, nu, m, n-m) or None.
+    The engine's block split of the coefficient tensor: at the smallest cut
+    0 < m < n it allows, g(lam; n, k) = g(mu; m, k) * g(nu; n-m, k) with mu
+    the m leading parts lowered by 2k(n-m) and nu the trailing parts.
+    Returns (mu, nu, m, n-m) or None.
     """
     lam = as_partition(lam, n)
     if not is_admissible(lam, n, k):
         raise ValueError(f"partition {list(lam)} is not admissible for n={n}, k={k}")
-    total = sum(lam)
-    head = 0
-    for m in range(1, n):
-        head += lam[m - 1]
-        if total - head == k * (n - m) * (n - m - 1):
-            off = 2 * k * (n - m)
-            mu = tuple(x - off for x in lam[:m])
-            nu = lam[m:]
-            return mu, nu, m, n - m
-    return None
+    found = _split(DeltaSpec.for_coefficient(lam, n, k).vectors, k + 1, n)
+    if found is None:
+        return None
+    left, right, _ = found
+    m = len(left[0])
+    return left[0], right[0], m, n - m

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .hyperdet import DenseTensor, hankel_tensor
 from .partitions import IntVec, as_decreasing
@@ -66,16 +66,6 @@ class DeltaSpec:
         lam alongside 2k+1 zero vectors, a tensor of order 2(k+1)."""
         lam = tuple(lam) + (0,) * (n - len(lam))
         return cls((lam,) + ((0,) * n,) * (2 * k + 1))
-
-
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Quotient of a spec by vector permutations and zero-sum entry shifts."""
-
-    normalized: tuple[IntVec, ...]
-    total_shift: int
-    n: int
-    half: int
 
 
 class MemoCache:
@@ -128,6 +118,8 @@ def weight_ok(spec: DeltaSpec) -> bool:
 
 
 def _canonical_key(vectors: tuple[IntVec, ...]):
+    """Quotient of a spec by vector permutations and zero-sum entry shifts:
+    each vector shifted to end in 0, sorted, with the total offset."""
     shift = 0
     norms = []
     for v in vectors:
@@ -139,72 +131,6 @@ def _canonical_key(vectors: tuple[IntVec, ...]):
             norms.append(v)
     norms.sort()
     return (tuple(norms), shift)
-
-
-def canonicalize(spec: DeltaSpec) -> CanonicalKey:
-    """Shift each vector so it ends in 0, record the total offset, sort."""
-    norms, shift = _canonical_key(spec.vectors)
-    return CanonicalKey(
-        normalized=norms, total_shift=shift, n=spec.n, half=spec.half
-    )
-
-
-def pivot_tuples(spec: DeltaSpec, i1: int) -> list[IntVec]:
-    """All index tuples (i1, i_2, ..., i_2K) hitting the delta target.
-
-    Fixes i_2 .. i_{2K-1} and solves for the last index; the per-slot value
-    i -> v[n-i+1] + i is strictly increasing, so there is at most one
-    solution for each prefix.
-    """
-    n = spec.n
-    if not 1 <= i1 <= n:
-        raise ValueError(f"i1 must lie in 1..{n}")
-    vectors = spec.vectors
-    remaining = spec.target - vectors[0][n - i1] - i1
-    last = vectors[-1]
-    solve = {last[n - i] + i: i for i in range(1, n + 1)}
-    middle = vectors[1:-1]
-    out: list[IntVec] = []
-
-    def rec(slot: int, prefix: tuple[int, ...], left: int) -> None:
-        if slot == len(middle):
-            i_last = solve.get(left)
-            if i_last is not None:
-                out.append((i1,) + prefix + (i_last,))
-            return
-        v = middle[slot]
-        for i in range(1, n + 1):
-            rec(slot + 1, prefix + (i,), left - (v[n - i] + i))
-
-    rec(0, (), remaining)
-    return out
-
-
-def child_spec(spec: DeltaSpec, tup: Sequence[int]) -> DeltaSpec:
-    """Dimension n-1 spec left after striking the tuple's slice per slot.
-
-    Slot 1 deletes position n-i+1, lowering earlier entries by 2(K-1) and
-    later ones by 2(K-1)+1; every other slot deletes its position and raises
-    the earlier entries by 1.
-    """
-    n = spec.n
-    tup = tuple(tup)
-    if len(tup) != spec.order or any(not 1 <= i <= n for i in tup):
-        raise ValueError(f"bad index tuple {list(tup)}")
-    total = sum(spec.vectors[j][n - tup[j]] for j in range(spec.order)) + sum(tup)
-    if total != spec.target:
-        raise ValueError(f"tuple {list(tup)} misses the delta target (caller bug)")
-    drop = 2 * (spec.half - 1)
-    children = []
-    for j, (v, i) in enumerate(zip(spec.vectors, tup)):
-        cut = n - i
-        if j == 0:
-            children.append(
-                tuple(x - drop for x in v[:cut]) + tuple(x - drop - 1 for x in v[cut + 1 :])
-            )
-        else:
-            children.append(tuple(x + 1 for x in v[:cut]) + v[cut + 1 :])
-    return DeltaSpec(tuple(children))
 
 
 def _split(vectors: tuple[IntVec, ...], half: int, n: int):
@@ -235,15 +161,6 @@ def _split(vectors: tuple[IntVec, ...], half: int, n: int):
         sign = -1 if (m * (n - m)) % 2 else 1
         return left, right, sign
     return None
-
-
-def try_factorize(spec: DeltaSpec) -> tuple[DeltaSpec, DeltaSpec, int] | None:
-    """Split into two smaller specs whose signed product equals the value."""
-    found = _split(spec.vectors, spec.half, spec.n)
-    if found is None:
-        return None
-    left, right, sign = found
-    return DeltaSpec(left), DeltaSpec(right), sign
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +314,8 @@ def evaluate(
 
     Zero when the weight condition fails; otherwise the signed sum over the
     i_1 = 1 pivot tuples of the child values, resolved bottom-up with
-    memoization and the factorization shortcut (disable with factorize=False).
+    memoization and the factorization shortcut; factorize=False evaluates
+    without the shortcut, as a reference.
     """
     if cache is None:
         cache = MemoCache()
@@ -418,18 +336,3 @@ def materialize(
     reversed_shifts = [v[::-1] for v in spec.vectors]
     return hankel_tensor(moments, n, spec.order, reversed_shifts)
 
-
-def iter_subspecs(spec: DeltaSpec) -> Iterator[DeltaSpec]:
-    """Every spec reachable through the pivot recursion (tests only)."""
-    seen = set()
-    stack = [spec]
-    while stack:
-        cur = stack.pop()
-        key = _canonical_key(cur.vectors)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield cur
-        if cur.n >= 2 and weight_ok(cur):
-            for tup in pivot_tuples(cur, 1):
-                stack.append(child_spec(cur, tup))

@@ -107,29 +107,6 @@ def det_direct(t: DenseTensor, term_limit: int = DEFAULT_TERM_LIMIT) -> Value:
     return total
 
 
-def det_direct_reference(t: DenseTensor, term_limit: int = DEFAULT_TERM_LIMIT) -> Value:
-    """Literal p-fold permutation sum with the explicit 1/n! factor (tests only)."""
-    n, p = t.dim, t.order
-    if p % 2:
-        return 0
-    if n == 0:
-        return 1
-    if factorial(n) ** p > term_limit:
-        raise BudgetError(f"det_direct_reference refused: {n}!^{p} terms")
-    signed = _signed_permutations(n)
-    total = Fraction(0)
-    for sigmas in product(signed, repeat=p):
-        sign = 1
-        for _, s in sigmas:
-            sign = -sign if s < 0 else sign
-        term = Fraction(sign)
-        for i in range(1, n + 1):
-            term *= t.entries[tuple(sig[i - 1] for sig, _ in sigmas)]
-        total += term
-    total /= factorial(n)
-    return int(total) if total.denominator == 1 else total
-
-
 def minor(t: DenseTensor, sets: Sequence[Iterable[int]]) -> DenseTensor:
     """Sub-tensor selecting one increasing index set per index position."""
     if len(sets) != t.order:

@@ -13,6 +13,7 @@ from functools import lru_cache
 import pytest
 
 from conftest import WORKED_TENSOR_ONES, WORKED_TENSOR_VECTORS, random_tensor
+from reference import child_spec, pivot_tuples
 from vanschur.cli import main as cli_main
 from vanschur.coefficients import (
     count_vanishing,
@@ -23,11 +24,9 @@ from vanschur.coefficients import (
 from vanschur.delta_engine import (
     DeltaSpec,
     MemoCache,
-    child_spec,
+    _split,
     evaluate,
     materialize,
-    pivot_tuples,
-    try_factorize,
     weight_ok,
 )
 from vanschur.hyperdet import det_direct, laplace_expand, minor
@@ -206,8 +205,10 @@ def test_criterion_6_property_suites():
 
     # factorization shortcuts agree with unfactorized evaluation
     spec = DeltaSpec(((7, 7, 4, 2, 0),) + ((0,) * 5,) * 3)
-    left, right, sign = try_factorize(spec)
-    assert sign * evaluate(left) * evaluate(right) == evaluate(spec, factorize=False)
+    left, right, sign = _split(spec.vectors, spec.half, spec.n)
+    assert sign * evaluate(DeltaSpec(left)) * evaluate(DeltaSpec(right)) == evaluate(
+        spec, factorize=False
+    )
     for lam in enumerate_admissible(5, 1):
         split = factorize_g(lam, 5, 1)
         if split is not None:

@@ -1,10 +1,15 @@
+import errno
 import json
+import os
 import subprocess
 import sys
+import threading
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from vanschur import cli
 from vanschur.cli import main
 from vanschur.records import (
     ResultRecord,
@@ -190,6 +195,38 @@ def test_merge_rejects_foreign_manifest(tmp_path, capsys):
     assert "disagree" in err or "checksum" in err
 
 
+@pytest.mark.parametrize(
+    "lineno,text",
+    [
+        (2, '{"n":3}'),
+        (2, '{"n":4,"k":1,"lambda":5,"coeff":"1"}'),
+        (1, '{"manifest":5}'),
+        (2, '{"n":4,"k":1,"lambda":[6,4,2,0],"coeff":"abc"}'),
+    ],
+)
+def test_merge_names_file_and_line_of_a_bad_line(tmp_path, capsys, lineno, text):
+    paths = _write_shards(tmp_path, capsys, 4, 1, 2)
+    lines = paths[1].read_text().splitlines()
+    lines[lineno - 1] = text
+    paths[1].write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        ["merge", *map(str, paths), "--out", str(tmp_path / "m.jsonl")], capsys
+    )
+    assert code == 2
+    assert f"{paths[1]}:{lineno}:" in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("shards,index,flag", [(0, 0, "--shards"), (2, 2, "index")])
+def test_shard_rejects_bad_shard_numbers(capsys, shards, index, flag):
+    code, _, err = run_cli(
+        ["shard", "--n", "3", "--k", "1", "--shards", str(shards), "--index", str(index)],
+        capsys,
+    )
+    assert code == 1
+    assert flag in err
+
+
 def test_merge_rejects_tampered_records(tmp_path, capsys):
     paths = _write_shards(tmp_path, capsys, 4, 1, 2)
     lines = paths[0].read_text().splitlines()
@@ -237,13 +274,6 @@ def test_expand_six_letters_has_no_zero(tmp_path, capsys):
     assert all(r.coeff != 0 for r in records)
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run_cli(["selftest"], capsys)
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
-
-
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "vanschur", "admissible", "--n", "2", "--k", "1",
@@ -255,10 +285,70 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "2"
 
 
-def test_expand_unwritable_output_is_io_error(tmp_path, capsys):
+def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):
+    # the output is opened before any coefficient is computed
+    def never(*args, **kwargs):
+        raise AssertionError("expand ran before the output was opened")
+
+    monkeypatch.setattr(cli, "expand", never)
     code, _, err = run_cli(
         ["expand", "--n", "2", "--k", "1", "--out", str(tmp_path / "no" / "dir.jsonl")],
         capsys,
     )
     assert code == 1
     assert "cannot open output" in err
+
+
+def test_failed_write_leaves_neither_target_nor_temp_file(tmp_path, capsys, monkeypatch):
+    def failing(records, fmt, exc):
+        yield "partial line\n"
+        raise exc
+
+    target = tmp_path / "x.jsonl"
+    args = ["expand", "--n", "3", "--k", "1", "--out", str(target)]
+    monkeypatch.setattr(
+        cli, "write_records", lambda r, f: failing(r, f, OSError(errno.ENOSPC, "disk full"))
+    )
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.setattr(cli, "write_records", lambda r, f: failing(r, f, KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_expand_writes_through_to_a_pipe(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(["expand", "--n", "2", "--k", "1", "--out", str(fifo)], capsys)
+    reader.join(timeout=30)
+    assert code == 0 and not reader.is_alive()
+    assert got == [
+        b'{"n":2,"k":1,"lambda":[2,0],"coeff":"1"}\n'
+        b'{"n":2,"k":1,"lambda":[1,1],"coeff":"-3"}\n'
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_expand_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    real = tmp_path / "data" / "x.jsonl"
+    real.parent.mkdir()
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    code, _, _ = run_cli(["expand", "--n", "2", "--k", "1", "--out", str(link)], capsys)
+    assert code == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_bytes() == (
+        b'{"n":2,"k":1,"lambda":[2,0],"coeff":"1"}\n'
+        b'{"n":2,"k":1,"lambda":[1,1],"coeff":"-3"}\n'
+    )
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in real.parent.iterdir()) == ["x.jsonl"]

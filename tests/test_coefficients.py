@@ -1,5 +1,6 @@
 import pytest
 
+from vanschur import coefficients
 from vanschur.coefficients import (
     SchurExpansion,
     count_vanishing,
@@ -66,6 +67,17 @@ def test_expand_worker_counts_agree():
     two = expand(5, 2, workers=2)
     assert serial == two
     assert list(serial.terms) == list(two.terms)
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_workers_are_capped_by_the_cpu_count(monkeypatch, cpus):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", NoPool)
+    assert list(expand(4, 1, workers=50000)) == list(expand(4, 1))
 
 
 def test_factorize_g_example():

@@ -10,16 +10,14 @@ from conftest import (
     delta_specs,
     weighted_delta_specs,
 )
+from reference import child_spec, iter_subspecs, pivot_tuples
 from vanschur.delta_engine import (
-    CanonicalKey,
     DeltaSpec,
     MemoCache,
-    canonicalize,
-    child_spec,
+    _canonical_key,
+    _split,
     evaluate,
     materialize,
-    pivot_tuples,
-    try_factorize,
     weight_ok,
 )
 from vanschur.hyperdet import det_direct
@@ -46,23 +44,18 @@ def test_weight_ok_examples():
 
 
 def test_canonicalize_examples():
-    key = canonicalize(WORKED)
-    assert key == CanonicalKey(
-        normalized=((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)),
-        total_shift=1,
-        n=3,
-        half=2,
-    )
-    key2 = canonicalize(DeltaSpec(((2, -1), (1, 0), (0, 0), (0, 0))))
-    assert key2.normalized == ((0, 0), (0, 0), (1, 0), (3, 0))
-    assert key2.total_shift == -1
+    key = _canonical_key(WORKED.vectors)
+    assert key == (((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)), 1)
+    normalized, total_shift = _canonical_key(((2, -1), (1, 0), (0, 0), (0, 0)))
+    assert normalized == ((0, 0), (0, 0), (1, 0), (3, 0))
+    assert total_shift == -1
 
 
 @given(delta_specs(max_n=3, max_half=2), st.randoms(use_true_random=False))
 def test_canonicalize_ignores_vector_order(spec, rng):
     shuffled = list(spec.vectors)
     rng.shuffle(shuffled)
-    assert canonicalize(DeltaSpec(tuple(shuffled))) == canonicalize(spec)
+    assert _canonical_key(tuple(shuffled)) == _canonical_key(spec.vectors)
 
 
 def test_pivot_tuples_worked_tensor():
@@ -160,27 +153,33 @@ def test_weight_failure_means_zero_tensor_value():
     assert det_direct(materialize(spec)) == 0
 
 
+def split_product(left, right, sign):
+    """Signed product of the two block values _split returns."""
+    return sign * evaluate(DeltaSpec(left)) * evaluate(DeltaSpec(right))
+
+
 def test_try_factorize_worked_case():
     spec = DeltaSpec(((7, 7, 4, 2, 0),) + ((0,) * 5,) * 3)
-    split = try_factorize(spec)
+    split = _split(spec.vectors, spec.half, spec.n)
     assert split is not None
     left, right, sign = split
-    assert left.vectors == ((1, 1), (0, 0), (0, 0), (0, 0))
-    assert right.vectors == ((4, 2, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
-    assert sign * evaluate(left) * evaluate(right) == evaluate(spec, factorize=False)
+    assert left == ((1, 1), (0, 0), (0, 0), (0, 0))
+    assert right == ((4, 2, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert split_product(*split) == evaluate(spec, factorize=False)
 
 
 def test_try_factorize_none_when_no_cut_qualifies():
-    assert try_factorize(DeltaSpec(((1, 1), (0, 0), (0, 0), (0, 0)))) is None
+    assert _split(((1, 1), (0, 0), (0, 0), (0, 0)), 2, 2) is None
 
 
 def test_try_factorize_first_cut_wins_and_value_agrees():
     # the staircase qualifies at every cut; the smallest one is taken
     lam = (6, 4, 2, 0)
     spec = DeltaSpec.for_coefficient(lam, 4, 1)
-    left, right, sign = try_factorize(spec)
-    assert left.n == 1 and right.n == 3
-    assert sign * evaluate(left) * evaluate(right) == evaluate(spec, factorize=False)
+    split = _split(spec.vectors, spec.half, spec.n)
+    left, right, sign = split
+    assert len(left[0]) == 1 and len(right[0]) == 3
+    assert split_product(*split) == evaluate(spec, factorize=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,11 +239,10 @@ def test_children_stay_valid_specs(spec):
 @settings(max_examples=30, deadline=None)
 @given(weighted_delta_specs(max_n=3, max_half=2))
 def test_factorization_consistency(spec):
-    split = try_factorize(spec)
+    split = _split(spec.vectors, spec.half, spec.n)
     if split is None:
         return
-    left, right, sign = split
-    assert sign * evaluate(left) * evaluate(right) == evaluate(spec, factorize=False)
+    assert split_product(*split) == evaluate(spec, factorize=False)
 
 
 def _balanced_vectors(rng, n, order):
@@ -289,13 +287,13 @@ def test_constructed_block_splits_verify_both_signs():
                 for j in range(1, order)
             )
         )
-        split = try_factorize(parent)
+        split = _split(parent.vectors, parent.half, parent.n)
         assert split is not None
         left, right, sign = split
         want = evaluate(parent, factorize=False)
-        assert sign * evaluate(left) * evaluate(right) == want
+        assert split_product(*split) == want
         assert evaluate(parent) == want
-        odd_signs += (left.n * right.n) % 2
+        odd_signs += (len(left[0]) * len(right[0])) % 2
         if n <= 3:
             assert det_direct(materialize(parent)) == want
             dense_checked += 1
@@ -310,13 +308,10 @@ def test_factorization_consistency_on_expansion_specs():
     for n, k in ((4, 1), (5, 1), (3, 2)):
         for lam in enumerate_admissible(n, k):
             spec = DeltaSpec.for_coefficient(lam, n, k)
-            split = try_factorize(spec)
+            split = _split(spec.vectors, spec.half, spec.n)
             if split is None:
                 continue
-            left, right, sign = split
-            assert sign * evaluate(left) * evaluate(right) == evaluate(
-                spec, factorize=False
-            )
+            assert split_product(*split) == evaluate(spec, factorize=False)
             checked += 1
     assert checked > 10
 
@@ -324,7 +319,6 @@ def test_factorization_consistency_on_expansion_specs():
 def test_every_subspec_of_small_expansions_matches_dense_oracle():
     # full recursion closure: everything the pivot recursion can reach for
     # the (3,1) and (2,2) coefficient tensors agrees with the dense sum
-    from vanschur.delta_engine import iter_subspecs
     from vanschur.partitions import enumerate_admissible
 
     seen = 0

@@ -5,12 +5,12 @@ from itertools import product
 import pytest
 
 from conftest import WORKED_TENSOR_VECTORS, random_tensor
+from reference import det_direct_reference
 from vanschur.delta_engine import DeltaSpec, materialize
 from vanschur.hyperdet import (
     BudgetError,
     DenseTensor,
     det_direct,
-    det_direct_reference,
     hankel_tensor,
     laplace_expand,
     laplace_sign,
