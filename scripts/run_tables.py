@@ -38,6 +38,8 @@ def main() -> int:
     parser.add_argument("--nmax-k1", type=int, default=9,
                         help="largest n for the extended k=1 column (up to 11)")
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     grid = {k: list(ns) for k, ns in DEFAULT_GRID.items()}
     if args.extended:

@@ -13,9 +13,8 @@ grouped enumeration of the surviving index tuples.
 
 from __future__ import annotations
 
-import os
+import functools
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
@@ -23,9 +22,6 @@ from typing import Sequence
 
 from .hyperdet import DenseTensor, hankel_tensor
 from .partitions import IntVec, as_decreasing
-
-DEFAULT_CACHE_CAPACITY = 1 << 24
-CACHE_CAPACITY_ENV = "VANSCHUR_CACHE_CAPACITY"
 
 DEFAULT_MATERIALIZE_LIMIT = 1 << 21
 
@@ -69,22 +65,18 @@ class DeltaSpec:
 
 
 class MemoCache:
-    """Bounded LRU map from canonical keys to evaluated values.
+    """Map from canonical keys to evaluated values, counting hits and misses.
 
-    Inserts are idempotent: re-inserting a key with a conflicting value is a
-    bug and raises. A capacity of 0 disables storage entirely; eviction only
-    ever costs recomputation, never correctness.
+    Unbounded: every stored value stays for the life of the cache, so the
+    engine evaluates each subproblem at most once per cache and stores every
+    miss. Inserts are idempotent: re-inserting a key with a conflicting value
+    is a bug and raises.
     """
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is None:
-            capacity = int(os.environ.get(CACHE_CAPACITY_ENV, DEFAULT_CACHE_CAPACITY))
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
+    def __init__(self):
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict = OrderedDict()
+        self._data: dict = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -93,22 +85,13 @@ class MemoCache:
         value = self._data.get(key)
         if value is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        self._data.move_to_end(key)
+        else:
+            self.hits += 1
         return value
 
     def put(self, key, value) -> None:
-        if self.capacity == 0:
-            return
-        old = self._data.get(key)
-        if old is not None:
-            if old != value:
-                raise RuntimeError(f"conflicting cache insert for {key}")
-            return
-        self._data[key] = value
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        if self._data.setdefault(key, value) != value:
+            raise RuntimeError(f"conflicting cache insert for {key}")
 
 
 def weight_ok(spec: DeltaSpec) -> bool:
@@ -166,10 +149,6 @@ def _split(vectors: tuple[IntVec, ...], half: int, n: int):
 # ---------------------------------------------------------------------------
 # evaluation
 
-# per-(vector, multiset-size) tables reused across nodes; entries are small
-_GROUP_TABLES: dict = {}
-_GROUP_TABLES_MAX = 1 << 20
-
 
 def _arrangements(combo: tuple[int, ...]) -> int:
     total = factorial(len(combo))
@@ -183,17 +162,15 @@ def _arrangements(combo: tuple[int, ...]) -> int:
     return total // factorial(run)
 
 
+@functools.cache
 def _group_table(v: IntVec, count: int):
     """All index multisets of one companion-vector group, sorted by value sum.
 
     Rows are (value_sum, index_sum, arrangements, child_vectors) where
     value_sum adds v[n-i+1] + i over the multiset and child_vectors are the
-    struck slot vectors.
+    struck slot vectors. Tables depend on (v, count) alone, so they are kept
+    for the whole process and shared by every MemoCache.
     """
-    key = (v, count)
-    hit = _GROUP_TABLES.get(key)
-    if hit is not None:
-        return hit
     n = len(v)
     taus = [0] * (n + 1)
     kids: list[IntVec] = [()] * (n + 1)
@@ -210,9 +187,6 @@ def _group_table(v: IntVec, count: int):
             isum += i
         rows.append((tau, isum, _arrangements(combo), tuple(kids[i] for i in combo)))
     rows.sort(key=lambda r: r[0])
-    if len(_GROUP_TABLES) >= _GROUP_TABLES_MAX:
-        _GROUP_TABLES.clear()
-    _GROUP_TABLES[key] = rows
     return rows
 
 

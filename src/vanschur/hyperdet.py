@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 IntVec = tuple[int, ...]
 Value = int | Fraction
@@ -55,9 +55,6 @@ class DenseTensor:
     ) -> "DenseTensor":
         idx = range(1, dim + 1)
         return cls(order, dim, {t: fn(t) for t in product(idx, repeat=order)})
-
-    def entry(self, idx: IntVec) -> Value:
-        return self.entries[idx]
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +164,7 @@ def laplace_expand(
 
 
 def hankel_tensor(
-    moments: Callable[[int], Value] | Mapping[int, Value],
+    moments: Callable[[int], Value],
     n: int,
     order: int,
     shifts: Sequence[Sequence[int]],
@@ -185,18 +182,8 @@ def hankel_tensor(
     if any(len(v) != n for v in vecs):
         raise ValueError("every shift vector must have length n")
 
-    if callable(moments):
-        lookup = moments
-    else:
-        table = moments
-
-        def lookup(s: int) -> Value:
-            if s not in table:
-                raise ValueError(f"moment value for argument {s} is missing")
-            return table[s]
-
     def fn(idx: IntVec) -> Value:
         s = sum(v[i - 1] for v, i in zip(vecs, idx)) + sum(idx) - order
-        return lookup(s)
+        return moments(s)
 
     return DenseTensor.from_function(order, n, fn)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .coefficients import SchurExpansion
 from .hyperdet import BudgetError, DenseTensor, det_direct
@@ -126,18 +126,6 @@ class FunctionTable:
     """Values f_j^(i)(x): values[i-1][j-1][x_index], exact rationals."""
 
     values: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    @classmethod
-    def from_callables(
-        cls,
-        functions: Sequence[Sequence[Callable[[Fraction], Fraction | int]]],
-        measure: DiscreteMeasure,
-    ) -> "FunctionTable":
-        vals = tuple(
-            tuple(tuple(Fraction(f(x)) for x in measure.support) for f in slot)
-            for slot in functions
-        )
-        return cls(values=vals)
 
     @classmethod
     def monomials(

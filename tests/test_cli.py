@@ -66,7 +66,12 @@ def test_nonpositive_n_is_clean_usage_error(capsys):
     assert "positive" in err
 
 
-def test_verify_over_budget_is_clean_refusal(capsys):
+def test_verify_over_budget_is_clean_refusal(capsys, monkeypatch):
+    # the oracle refuses before the engine computes the cell
+    def never(*args, **kwargs):
+        raise AssertionError("expand ran before the oracle's budget check")
+
+    monkeypatch.setattr(cli, "expand", never)
     code, _, err = run_cli(["verify", "--n", "7", "--k", "1"], capsys)
     assert code == 1
     assert "budget" in err
@@ -172,6 +177,18 @@ def test_merge_reports_missing_shard(tmp_path, capsys):
     assert code == 2
     assert "missing shard index(es) [0]" in err
     assert "62 missing of 247" in err
+
+
+def test_merge_cost_ignores_a_claimed_shard_count(tmp_path, capsys):
+    paths = _write_shards(tmp_path, capsys, 3, 1, 1)
+    text = paths[0].read_text().replace('"shards":1', f'"shards":{10**6}', 1)
+    paths[0].write_text(text)
+    code, _, err = run_cli(
+        ["merge", str(paths[0]), "--out", str(tmp_path / "m.jsonl")], capsys
+    )
+    assert code == 2
+    assert "missing shard index(es) [1, 2, 3, 4, 5] and 999994 more" in err
+    assert len(err) < 1000
 
 
 def test_merge_rejects_duplicate_shard(tmp_path, capsys):
@@ -283,6 +300,16 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def test_run_tables_rejects_zero_jobs():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--jobs", "0"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "--jobs must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):

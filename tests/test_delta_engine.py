@@ -11,6 +11,7 @@ from conftest import (
     weighted_delta_specs,
 )
 from reference import child_spec, iter_subspecs, pivot_tuples
+from vanschur.coefficients import g_coefficient
 from vanschur.delta_engine import (
     DeltaSpec,
     MemoCache,
@@ -21,6 +22,7 @@ from vanschur.delta_engine import (
     weight_ok,
 )
 from vanschur.hyperdet import det_direct
+from vanschur.partitions import enumerate_admissible
 
 WORKED = DeltaSpec(WORKED_TENSOR_VECTORS)
 SECOND = DeltaSpec(((4, 1, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0)))
@@ -332,44 +334,33 @@ def test_every_subspec_of_small_expansions_matches_dense_oracle():
     assert seen >= 20
 
 
-@pytest.mark.parametrize("capacity", [0, 1, 7, None])
-def test_cache_capacity_is_invisible_in_values(capacity):
-    cache = MemoCache(capacity) if capacity is not None else None
-    assert evaluate(SECOND, cache) == 3
-    assert evaluate(WORKED, cache) == 6
-
-
-def test_cache_counters_and_eviction():
-    cache = MemoCache(capacity=2)
+def test_cache_counters():
+    cache = MemoCache()
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1
-    cache.put("c", 3)  # evicts b, the least recently used
-    assert cache.get("b") is None
+    assert cache.get("c") is None
     assert cache.get("a") == 1
     assert cache.hits == 2 and cache.misses == 1
     assert len(cache) == 2
 
 
 def test_cache_rejects_conflicting_insert():
-    cache = MemoCache(capacity=10)
+    cache = MemoCache()
     cache.put("a", 1)
     cache.put("a", 1)
     with pytest.raises(RuntimeError, match="conflicting"):
         cache.put("a", 2)
 
 
-def test_cache_capacity_zero_stores_nothing():
-    cache = MemoCache(capacity=0)
-    cache.put("a", 1)
-    assert cache.get("a") is None
-    assert len(cache) == 0
-
-
-def test_cache_capacity_env_override(monkeypatch):
+def test_every_miss_is_stored(monkeypatch):
+    # no bound applies, whatever VANSCHUR_CACHE_CAPACITY says
     monkeypatch.setenv("VANSCHUR_CACHE_CAPACITY", "3")
     cache = MemoCache()
-    assert cache.capacity == 3
+    for lam in enumerate_admissible(5, 2):
+        g_coefficient(lam, 5, 2, cache)
+    assert cache.misses > 3
+    assert len(cache) == cache.misses
 
 
 def test_shared_cache_across_specs_is_consistent():

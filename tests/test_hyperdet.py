@@ -177,13 +177,7 @@ def test_hankel_entry_formula():
         assert t.entries[(i, j)] == shifts[0][i - 1] + shifts[1][j - 1] + i + j - 2
 
 
-def test_hankel_missing_moment_is_reported():
-    with pytest.raises(ValueError, match="moment value for argument 2"):
-        hankel_tensor({0: 1, 1: 1}, 2, 2, [(0, 0), (0, 0)])
-
-
 def test_hankel_accepts_fraction_moments():
-    moments = {s: Fraction(1, s + 1) for s in range(0, 10)}
-    t = hankel_tensor(moments, 2, 2, [(0, 0), (0, 0)])
+    t = hankel_tensor(lambda s: Fraction(1, s + 1), 2, 2, [(0, 0), (0, 0)])
     assert t.entries[(1, 1)] == Fraction(1)
     assert t.entries[(2, 2)] == Fraction(1, 3)
