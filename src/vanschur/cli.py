@@ -199,15 +199,33 @@ def cmd_merge(args) -> int:
                     file=sys.stderr,
                 )
                 return VERIFY_EXIT
-        manifest = decoded[0]
+        manifest, records = decoded[0], decoded[1:]
         if manifest.index in shard_records:
             print(
                 f"merge failure: duplicate shard index {manifest.index}",
                 file=sys.stderr,
             )
             return VERIFY_EXIT
+        # checks that need no enumeration come first: records that contradict
+        # their manifest are refused before its claimed (n, k) is enumerated
+        if len(records) != manifest.count:
+            print(
+                f"merge failure: shard {manifest.index} ({path}) holds "
+                f"{len(records)} records, its manifest claims {manifest.count}",
+                file=sys.stderr,
+            )
+            return VERIFY_EXIT
+        for pos, rec in enumerate(records):
+            if (rec.n, rec.k) != (manifest.n, manifest.k):
+                print(
+                    f"merge failure: shard {manifest.index} ({path}) record {pos} "
+                    f"is for (n, k) = ({rec.n}, {rec.k}), its manifest claims "
+                    f"({manifest.n}, {manifest.k})",
+                    file=sys.stderr,
+                )
+                return VERIFY_EXIT
         manifests.append(manifest)
-        shard_records[manifest.index] = decoded[1:]
+        shard_records[manifest.index] = records
 
     ref = manifests[0]
     for m in manifests[1:]:
@@ -239,7 +257,7 @@ def cmd_merge(args) -> int:
     for m in manifests:
         expected = lams[m.index :: m.shards]
         got = shard_records[m.index]
-        if len(got) != len(expected) or len(got) != m.count:
+        if len(got) != len(expected):
             print(
                 f"merge failure: shard {m.index} holds {len(got)} records, "
                 f"expected {len(expected)}",
@@ -247,7 +265,7 @@ def cmd_merge(args) -> int:
             )
             return VERIFY_EXIT
         for pos, (lam, rec) in enumerate(zip(expected, got)):
-            if rec.lam != lam or rec.n != ref.n or rec.k != ref.k:
+            if rec.lam != lam:
                 print(
                     f"merge failure: shard {m.index} record {pos} does not match "
                     f"the canonical enumeration",

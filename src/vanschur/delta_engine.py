@@ -9,14 +9,23 @@ The implied order-2K tensor has entry 1 at (i_1, ..., i_2K) exactly when
 generalized Laplace recursion pivoted on i_1 = 1, with memoization keyed on
 the permutation/shift symmetry classes, a block-factorization shortcut, and
 grouped enumeration of the surviving index tuples.
+
+The memo key of a spec is the sorted tuple of its slot ids plus its total
+shift. A slot vector is one of the spec's 2K vectors; each distinct one,
+shifted to end in 0, is interned once per process as a small int id. The
+group tables carry the ids of the vectors they strike, so the pivot
+enumeration builds each child's key from ints, once, and passes it down.
+The id table and the group tables are process-wide and unbounded: the (8,1)
+table interns about 11,000 slot vectors, and 456 cold coefficients of
+(9,1), (5,4) and (7,2) about 1,800.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import factorial
 from typing import Sequence
 
@@ -100,20 +109,34 @@ def weight_ok(spec: DeltaSpec) -> bool:
     return sum(map(sum, spec.vectors)) == (spec.half - 1) * n * (n - 1)
 
 
-def _canonical_key(vectors: tuple[IntVec, ...]):
+# Slot vectors shifted to end in 0, each mapped to its id. Ids are assigned
+# in order of first use, so they differ between processes; keys never leave
+# the process that built them. They come from a counter rather than the
+# table's size, so threads interning at once never share an id.
+_SLOT_IDS: dict[IntVec, int] = {}
+_NEXT_SLOT_ID = itertools.count()
+
+
+@functools.cache
+def _slot(v: IntVec) -> tuple[int, int]:
+    """(id, offset) of one slot vector: the id stands for v shifted to end
+    in 0, and the offset is v[-1]."""
+    off = v[-1] if v else 0
+    norm = tuple(x - off for x in v) if off else v
+    return _SLOT_IDS.setdefault(norm, next(_NEXT_SLOT_ID)), off
+
+
+def _memo_key(vectors: tuple[IntVec, ...]):
     """Quotient of a spec by vector permutations and zero-sum entry shifts:
-    each vector shifted to end in 0, sorted, with the total offset."""
+    the sorted slot ids with the total offset."""
+    ids = []
     shift = 0
-    norms = []
     for v in vectors:
-        off = v[-1]
-        if off:
-            shift += off
-            norms.append(tuple(x - off for x in v))
-        else:
-            norms.append(v)
-    norms.sort()
-    return (tuple(norms), shift)
+        slot_id, off = _slot(v)
+        ids.append(slot_id)
+        shift += off
+    ids.sort()
+    return (tuple(ids), shift)
 
 
 def _split(vectors: tuple[IntVec, ...], half: int, n: int):
@@ -166,10 +189,13 @@ def _arrangements(combo: tuple[int, ...]) -> int:
 def _group_table(v: IntVec, count: int):
     """All index multisets of one companion-vector group, sorted by value sum.
 
-    Rows are (value_sum, index_sum, arrangements, child_vectors) where
-    value_sum adds v[n-i+1] + i over the multiset and child_vectors are the
-    struck slot vectors. Tables depend on (v, count) alone, so they are kept
-    for the whole process and shared by every MemoCache.
+    Returns (sums, rows, by_sum). Rows are (value_sum, index_sum,
+    arrangements, child_vectors, child_ids, child_shift) where value_sum
+    adds v[n-i+1] + i over the multiset, child_vectors are the struck slot
+    vectors, child_ids their slot ids and child_shift the sum of their
+    offsets. sums lists the rows' value sums, and by_sum maps a value sum to
+    its rows in table order. Tables depend on (v, count) alone, so they are
+    kept for the whole process and shared by every MemoCache.
     """
     n = len(v)
     taus = [0] * (n + 1)
@@ -179,23 +205,38 @@ def _group_table(v: IntVec, count: int):
         taus[i] = v[cut] + i
         kids[i] = tuple(x + 1 for x in v[:cut]) + v[cut + 1 :]
     rows = []
-    for combo in combinations_with_replacement(range(1, n + 1), count):
+    for combo in itertools.combinations_with_replacement(range(1, n + 1), count):
         tau = 0
         isum = 0
         for i in combo:
             tau += taus[i]
             isum += i
-        rows.append((tau, isum, _arrangements(combo), tuple(kids[i] for i in combo)))
+        struck = tuple(kids[i] for i in combo)
+        slots = [_slot(kid) for kid in struck]
+        rows.append((
+            tau,
+            isum,
+            _arrangements(combo),
+            struck,
+            tuple(slot_id for slot_id, _ in slots),
+            sum(off for _, off in slots),
+        ))
     rows.sort(key=lambda r: r[0])
-    return rows
+    by_sum: dict[int, list] = {}
+    for row in rows:
+        by_sum.setdefault(row[0], []).append(row)
+    return [r[0] for r in rows], rows, by_sum
 
 
 def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
     """Distinct children of the i_1 = 1 pivot with signed multiplicities.
 
-    Groups equal companion vectors, enumerates index multisets per group with
-    suffix-sum pruning, and merges children that share a canonical key.
-    Returns (signed_count, child_vectors) pairs.
+    Groups equal companion vectors and enumerates index multisets group by
+    group, keeping only partial choices whose remaining groups can still
+    meet the delta target. Children that share a memo key, built from the
+    slot ids the group tables carry, are merged. Returns (signed_count,
+    child_vectors, key) triples; the vectors are the first child seen with
+    that key, in lexicographic order of the groups' rows.
     """
     order = len(vectors)
     target = (order - 1) * n + 1
@@ -212,42 +253,54 @@ def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
         else:
             groups.append((v, 1))
     tables = [_group_table(v, c) for v, c in groups]
-    sums = [[r[0] for r in t] for t in tables]
 
-    g_count = len(tables)
-    suff_min = [0] * (g_count + 1)
-    suff_max = [0] * (g_count + 1)
-    for g in range(g_count - 1, -1, -1):
-        suff_min[g] = suff_min[g + 1] + sums[g][0]
-        suff_max[g] = suff_max[g + 1] + sums[g][-1]
+    last = len(tables) - 1
+    suff_min = [0] * (last + 2)
+    suff_max = [0] * (last + 2)
+    for g in range(last, -1, -1):
+        sums = tables[g][0]
+        suff_min[g] = suff_min[g + 1] + sums[0]
+        suff_max[g] = suff_max[g + 1] + sums[-1]
 
+    first_id, first_off = _slot(child_first)
+    # (left, parity, mult, chosen, ids, shift); parity starts at i_1 = 1
+    partial = [(need, 1, 1, (child_first,), (first_id,), first_off)]
+    for g in range(last):
+        sums, rows, _ = tables[g]
+        above = suff_max[g + 1]
+        below = suff_min[g + 1]
+        grown = []
+        for left, parity, mult, chosen, ids, shift in partial:
+            lo = bisect_left(sums, left - above)
+            hi = bisect_right(sums, left - below)
+            for tau, isum, arr, kids, kid_ids, kid_shift in rows[lo:hi]:
+                grown.append((
+                    left - tau,
+                    parity ^ (isum & 1),
+                    mult * arr,
+                    chosen + kids,
+                    ids + kid_ids,
+                    shift + kid_shift,
+                ))
+        partial = grown
+
+    # the last group's value sum must meet what is left exactly
+    by_sum = tables[last][2]
     acc: dict = {}
-
-    def walk(g: int, left: int, parity: int, mult: int, chosen: tuple):
-        if g == g_count:
-            child = (child_first,) + chosen
-            key = _canonical_key(child)
+    for left, parity, mult, chosen, ids, shift in partial:
+        for _, isum, arr, kids, kid_ids, kid_shift in by_sum.get(left, ()):
+            key = (tuple(sorted(ids + kid_ids)), shift + kid_shift)
+            coeff = -mult * arr if parity ^ (isum & 1) else mult * arr
             slot = acc.get(key)
-            coeff = -mult if parity else mult
             if slot is None:
-                acc[key] = [coeff, child]
+                acc[key] = [coeff, chosen + kids]
             else:
                 slot[0] += coeff
-            return
-        table = tables[g]
-        ssum = sums[g]
-        lo = bisect_left(ssum, left - suff_max[g + 1])
-        hi = bisect_right(ssum, left - suff_min[g + 1])
-        for row in range(lo, hi):
-            tau, isum, arr, kids = table[row]
-            walk(g + 1, left - tau, parity ^ (isum & 1), mult * arr, chosen + kids)
-
-    if suff_min[0] <= need <= suff_max[0]:
-        walk(0, need, 1, 1, ())  # parity starts at i_1 = 1
-    return [(slot[0], slot[1]) for slot in acc.values() if slot[0]]
+    return [(slot[0], slot[1], key) for key, slot in acc.items() if slot[0]]
 
 
-def _evaluate(vectors: tuple[IntVec, ...], cache: MemoCache, factorize: bool) -> int:
+def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache, factorize: bool) -> int:
+    """Value of the spec with these vectors; key is their _memo_key."""
     n = len(vectors[0])
     if n == 0:
         return 1
@@ -256,7 +309,6 @@ def _evaluate(vectors: tuple[IntVec, ...], cache: MemoCache, factorize: bool) ->
         return 0
     if n == 1:
         return 1
-    key = _canonical_key(vectors)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -269,12 +321,14 @@ def _evaluate(vectors: tuple[IntVec, ...], cache: MemoCache, factorize: bool) ->
         found = _split(vectors, half, n)
         if found is not None:
             left, right, sign = found
-            lval = _evaluate(left, cache, factorize)
-            value = 0 if lval == 0 else sign * lval * _evaluate(right, cache, factorize)
+            lval = _evaluate(left, _memo_key(left), cache, factorize)
+            value = 0
+            if lval:
+                value = sign * lval * _evaluate(right, _memo_key(right), cache, factorize)
     if value is None:
         value = 0
-        for coeff, child in _pivot_children(vectors, half, n):
-            sub = _evaluate(child, cache, factorize)
+        for coeff, child, child_key in _pivot_children(vectors, half, n):
+            sub = _evaluate(child, child_key, cache, factorize)
             if sub:
                 value += coeff * sub
     cache.put(key, value)
@@ -293,7 +347,7 @@ def evaluate(
     """
     if cache is None:
         cache = MemoCache()
-    return _evaluate(spec.vectors, cache, factorize)
+    return _evaluate(spec.vectors, _memo_key(spec.vectors), cache, factorize)
 
 
 def materialize(

@@ -2,7 +2,9 @@
 
 `pivot_tuples`, `child_spec` and `iter_subspecs` spell out the i_1 pivot step
 of the generalized Laplace recursion tuple by tuple, without the grouping,
-merging or factorization of the engine. `det_direct_reference` is the p-fold
+merging or factorization of the engine. `canonical_key` spells out the
+symmetry class the engine's memo key stands for, with the vectors themselves
+in place of interned slot ids. `det_direct_reference` is the p-fold
 permutation sum with the explicit 1/n! factor, without the normalization of
 `det_direct`.
 """
@@ -14,9 +16,25 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterator, Sequence
 
-from vanschur.delta_engine import DeltaSpec, _canonical_key, weight_ok
+from vanschur.delta_engine import DeltaSpec, weight_ok
 from vanschur.hyperdet import DEFAULT_TERM_LIMIT, BudgetError, DenseTensor, Value
 from vanschur.partitions import IntVec
+
+
+def canonical_key(vectors: tuple[IntVec, ...]):
+    """Quotient of a spec by vector permutations and zero-sum entry shifts:
+    each vector shifted to end in 0, sorted, with the total offset."""
+    shift = 0
+    norms = []
+    for v in vectors:
+        off = v[-1]
+        if off:
+            shift += off
+            norms.append(tuple(x - off for x in v))
+        else:
+            norms.append(v)
+    norms.sort()
+    return (tuple(norms), shift)
 
 
 def pivot_tuples(spec: DeltaSpec, i1: int) -> list[IntVec]:
@@ -83,7 +101,7 @@ def iter_subspecs(spec: DeltaSpec) -> Iterator[DeltaSpec]:
     stack = [spec]
     while stack:
         cur = stack.pop()
-        key = _canonical_key(cur.vectors)
+        key = canonical_key(cur.vectors)
         if key in seen:
             continue
         seen.add(key)

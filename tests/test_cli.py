@@ -191,6 +191,24 @@ def test_merge_cost_ignores_a_claimed_shard_count(tmp_path, capsys):
     assert len(err) < 1000
 
 
+def test_merge_cost_ignores_a_claimed_n(tmp_path, capsys, monkeypatch):
+    # records that contradict their manifest are refused before the claimed
+    # (n, k) is enumerated
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration ran before the per-file checks")
+
+    paths = _write_shards(tmp_path, capsys, 3, 1, 1)
+    text = paths[0].read_text().replace('"n":3', '"n":40', 1)
+    paths[0].write_text(text)
+    monkeypatch.setattr(cli, "enumeration_checksum", never)
+    code, _, err = run_cli(
+        ["merge", str(paths[0]), "--out", str(tmp_path / "m.jsonl")], capsys
+    )
+    assert code == 2
+    assert "record 0 is for (n, k) = (3, 1)" in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_merge_rejects_duplicate_shard(tmp_path, capsys):
     paths = _write_shards(tmp_path, capsys, 4, 1, 2)
     code, _, err = run_cli(

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,13 @@ from conftest import (
     delta_specs,
     weighted_delta_specs,
 )
-from reference import child_spec, iter_subspecs, pivot_tuples
+from reference import canonical_key, child_spec, iter_subspecs, pivot_tuples
 from vanschur.coefficients import g_coefficient
 from vanschur.delta_engine import (
     DeltaSpec,
     MemoCache,
-    _canonical_key,
+    _memo_key,
+    _slot,
     _split,
     evaluate,
     materialize,
@@ -46,9 +49,9 @@ def test_weight_ok_examples():
 
 
 def test_canonicalize_examples():
-    key = _canonical_key(WORKED.vectors)
+    key = canonical_key(WORKED.vectors)
     assert key == (((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)), 1)
-    normalized, total_shift = _canonical_key(((2, -1), (1, 0), (0, 0), (0, 0)))
+    normalized, total_shift = canonical_key(((2, -1), (1, 0), (0, 0), (0, 0)))
     assert normalized == ((0, 0), (0, 0), (1, 0), (3, 0))
     assert total_shift == -1
 
@@ -57,7 +60,23 @@ def test_canonicalize_examples():
 def test_canonicalize_ignores_vector_order(spec, rng):
     shuffled = list(spec.vectors)
     rng.shuffle(shuffled)
-    assert _canonical_key(tuple(shuffled)) == _canonical_key(spec.vectors)
+    assert _memo_key(tuple(shuffled)) == _memo_key(spec.vectors)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (4, 3)])
+def test_memo_key_is_a_bijection_of_the_reference_key(n, k):
+    # two subspecs share a memo key exactly when they share the reference key
+    memo_to_ref: dict = {}
+    ref_to_memo: dict = {}
+    subspecs = 0
+    for lam in enumerate_admissible(n, k):
+        for sub in iter_subspecs(DeltaSpec.for_coefficient(lam, n, k)):
+            memo, ref = _memo_key(sub.vectors), canonical_key(sub.vectors)
+            assert memo_to_ref.setdefault(memo, ref) == ref
+            assert ref_to_memo.setdefault(ref, memo) == memo
+            subspecs += 1
+    assert len(memo_to_ref) == len(ref_to_memo) > 100
+    assert subspecs > len(memo_to_ref)
 
 
 def test_pivot_tuples_worked_tensor():
@@ -369,3 +388,35 @@ def test_shared_cache_across_specs_is_consistent():
     again = [evaluate(SECOND, cache), evaluate(WORKED, cache)]
     assert values == again == [3, 6]
     assert cache.hits > 0
+
+
+@pytest.mark.parametrize(
+    "n, k, misses, hits",
+    [(7, 1, 10178, 30684), (5, 2, 3305, 17259), (4, 3, 776, 2702)],
+)
+def test_memo_traffic_of_a_table_is_pinned(n, k, misses, hits):
+    # one MemoCache per table; a change to the key or to the representative
+    # a key is evaluated on shows up here, not only as time
+    cache = MemoCache()
+    for lam in enumerate_admissible(n, k):
+        g_coefficient(lam, n, k, cache)
+    assert (cache.misses, cache.hits) == (misses, hits)
+    assert len(cache) == misses
+
+
+def test_slot_ids_stay_distinct_under_threads():
+    # the slot-id table is process-wide: vectors interned by concurrent
+    # threads must still get one id each
+    def intern(head):
+        return [((head, j, 0), _slot((head, j, 0))[0]) for j in range(300)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(intern, 10**6 + t) for t in range(8)]
+            interned = [pair for f in futures for pair in f.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(old)
+    assert len({vec for vec, _ in interned}) == len({i for _, i in interned}) == 8 * 300
+    assert all(_slot(vec)[0] == slot_id for vec, slot_id in interned)
