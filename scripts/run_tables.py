@@ -35,15 +35,21 @@ def main() -> int:
                         help="skip coefficient evaluation, print only the admissible grid")
     parser.add_argument("--extended", action="store_true",
                         help="add k=1 columns past n=8")
-    parser.add_argument("--nmax-k1", type=int, default=9,
-                        help="largest n for the extended k=1 column (up to 11)")
+    parser.add_argument("--nmax-k1", type=int, default=None,
+                        help="largest n for the extended k=1 column, 2 to 11 "
+                             "(default 9); needs --extended")
     args = parser.parse_args()
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.nmax_k1 is not None:
+        if not args.extended:
+            parser.error("--nmax-k1 needs --extended")
+        if not 2 <= args.nmax_k1 <= 11:
+            parser.error(f"--nmax-k1 must be between 2 and 11, got {args.nmax_k1}")
 
     grid = {k: list(ns) for k, ns in DEFAULT_GRID.items()}
     if args.extended:
-        grid[1] = list(range(2, min(args.nmax_k1, 11) + 1))
+        grid[1] = list(range(2, (args.nmax_k1 or 9) + 1))
 
     print(f"{'k':>2} {'n':>3} {'admissible':>12} {'vanishing':>10} {'seconds':>9}")
     for k, ns in grid.items():

@@ -233,24 +233,40 @@ def cmd_merge(args) -> int:
             print("merge failure: manifests disagree on (n, k, shards, checksum)",
                   file=sys.stderr)
             return VERIFY_EXIT
-    if ref.checksum != enumeration_checksum(ref.n, ref.k):
-        print("merge failure: checksum does not match the admissible enumeration",
-              file=sys.stderr)
-        return VERIFY_EXIT
 
-    lams = list(enumerate_admissible(ref.n, ref.k))
-    # indices are distinct and below ref.shards, so the cost of this check
-    # follows the files given, not the shard count a manifest claims
+    # shard j of S holds len(range(j, T, S)) of the T records, at most
+    # count * S + j, and no shard holds more than one record beyond another;
+    # so unless more than half the shards are missing, honest shards have
+    # T <= cap, a bound that follows the files given, not the (n, k) or the
+    # shard count a manifest claims
+    held = sum(m.count for m in manifests)
+    cap = min(min(m.count * m.shards + m.index for m in manifests),
+              2 * held + len(manifests))
+    lams = list(islice(enumerate_admissible(ref.n, ref.k), cap + 1))
+    # indices are distinct and below ref.shards, so naming the missing ones
+    # costs no more than the files given
     missing = ref.shards - len(manifests)
     if missing:
         named = list(islice((j for j in range(ref.shards) if j not in shard_records), 5))
         more = f" and {missing - len(named)} more" if missing > len(named) else ""
-        present = sum(len(range(j, len(lams), ref.shards)) for j in shard_records)
+        if len(lams) > cap:
+            count = f"at least {len(lams) - held} missing of more than {cap}"
+        else:
+            present = sum(len(range(j, len(lams), ref.shards)) for j in shard_records)
+            count = f"{len(lams) - present} missing of {len(lams)}"
+        print(f"merge failure: missing shard index(es) {named}{more}: {count}",
+              file=sys.stderr)
+        return VERIFY_EXIT
+    if len(lams) > cap:
         print(
-            f"merge failure: missing shard index(es) {named}{more}: "
-            f"{len(lams) - present} missing of {len(lams)}",
+            f"merge failure: (n, k) = ({ref.n}, {ref.k}) has more than {cap} "
+            f"admissible partitions, more than the shards' counts allow",
             file=sys.stderr,
         )
+        return VERIFY_EXIT
+    if ref.checksum != enumeration_checksum(ref.n, ref.k, lams):
+        print("merge failure: checksum does not match the admissible enumeration",
+              file=sys.stderr)
         return VERIFY_EXIT
 
     merged: list[ResultRecord | None] = [None] * len(lams)

@@ -10,14 +10,19 @@ generalized Laplace recursion pivoted on i_1 = 1, with memoization keyed on
 the permutation/shift symmetry classes, a block-factorization shortcut, and
 grouped enumeration of the surviving index tuples.
 
-The memo key of a spec is the sorted tuple of its slot ids plus its total
-shift. A slot vector is one of the spec's 2K vectors; each distinct one,
-shifted to end in 0, is interned once per process as a small int id. The
-group tables carry the ids of the vectors they strike, so the pivot
-enumeration builds each child's key from ints, once, and passes it down.
-The id table and the group tables are process-wide and unbounded: the (8,1)
-table interns about 11,000 slot vectors, and 456 cold coefficients of
-(9,1), (5,4) and (7,2) about 1,800.
+The weight (K-1)n(n-1) is checked once, on the spec `evaluate` is given:
+the pivot children and the split blocks of a spec of that weight have it
+too. The memo key of a spec is the sorted tuple of its slot ids. A slot
+vector is one of the spec's 2K vectors; each distinct one, shifted to end
+in 0, is interned once per process as a small int id. The ids fix each
+vector up to its shift, and the weight fixes the sum of the shifts, so the
+key needs no total shift. The group tables carry the ids of the vectors
+they strike, so the pivot enumeration builds each child's key from ints,
+once. `_evaluate` probes the memo with each child's key in its own loop and
+recurses only on a miss; a child's vectors are built only then, from the
+group rows its enumeration chose. The id table and the group tables are
+process-wide and unbounded: the (8,1) table interns about 11,000 slot
+vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2) about 1,800.
 """
 
 from __future__ import annotations
@@ -42,7 +47,11 @@ class DeltaSpec:
     vectors: tuple[IntVec, ...]
 
     def __post_init__(self):
-        vecs = tuple(as_decreasing(v) for v in self.vectors)
+        raw = tuple(map(tuple, self.vectors))
+        # each distinct vector is checked once: a coefficient's spec repeats
+        # its zero vector 2k+1 times
+        checked = {v: as_decreasing(v) for v in dict.fromkeys(raw)}
+        vecs = tuple(checked[v] for v in raw)
         if len(vecs) < 2 or len(vecs) % 2:
             raise ValueError("need an even number (>= 2) of vectors")
         if any(len(v) != len(vecs[0]) for v in vecs):
@@ -118,25 +127,19 @@ _NEXT_SLOT_ID = itertools.count()
 
 
 @functools.cache
-def _slot(v: IntVec) -> tuple[int, int]:
-    """(id, offset) of one slot vector: the id stands for v shifted to end
-    in 0, and the offset is v[-1]."""
+def _slot(v: IntVec) -> int:
+    """Id of one slot vector, standing for v shifted to end in 0."""
     off = v[-1] if v else 0
     norm = tuple(x - off for x in v) if off else v
-    return _SLOT_IDS.setdefault(norm, next(_NEXT_SLOT_ID)), off
+    return _SLOT_IDS.setdefault(norm, next(_NEXT_SLOT_ID))
 
 
-def _memo_key(vectors: tuple[IntVec, ...]):
-    """Quotient of a spec by vector permutations and zero-sum entry shifts:
-    the sorted slot ids with the total offset."""
-    ids = []
-    shift = 0
-    for v in vectors:
-        slot_id, off = _slot(v)
-        ids.append(slot_id)
-        shift += off
-    ids.sort()
-    return (tuple(ids), shift)
+def _memo_key(vectors: tuple[IntVec, ...]) -> tuple[int, ...]:
+    """Quotient of a spec of the right weight by vector permutations and
+    zero-sum entry shifts: its sorted slot ids. The ids fix each vector up
+    to its offset, and the weight fixes the sum of the offsets, so no total
+    shift needs to be kept."""
+    return tuple(sorted(map(_slot, vectors)))
 
 
 def _split(vectors: tuple[IntVec, ...], half: int, n: int):
@@ -189,13 +192,14 @@ def _arrangements(combo: tuple[int, ...]) -> int:
 def _group_table(v: IntVec, count: int):
     """All index multisets of one companion-vector group, sorted by value sum.
 
-    Returns (sums, rows, by_sum). Rows are (value_sum, index_sum,
-    arrangements, child_vectors, child_ids, child_shift) where value_sum
-    adds v[n-i+1] + i over the multiset, child_vectors are the struck slot
-    vectors, child_ids their slot ids and child_shift the sum of their
-    offsets. sums lists the rows' value sums, and by_sum maps a value sum to
-    its rows in table order. Tables depend on (v, count) alone, so they are
-    kept for the whole process and shared by every MemoCache.
+    Returns (sums, rows, by_sum). Rows are (value_sum, signed_count,
+    child_vectors, child_ids) where value_sum adds v[n-i+1] + i over the
+    multiset, signed_count is its number of arrangements times
+    (-1)^(index sum), child_vectors are the struck slot vectors and
+    child_ids their slot ids. sums lists the rows' value sums, and by_sum
+    maps a value sum to its rows in table order. Tables depend on (v, count)
+    alone, so they are kept for the whole process and shared by every
+    MemoCache.
     """
     n = len(v)
     taus = [0] * (n + 1)
@@ -212,14 +216,12 @@ def _group_table(v: IntVec, count: int):
             tau += taus[i]
             isum += i
         struck = tuple(kids[i] for i in combo)
-        slots = [_slot(kid) for kid in struck]
+        arr = _arrangements(combo)
         rows.append((
             tau,
-            isum,
-            _arrangements(combo),
+            -arr if isum & 1 else arr,
             struck,
-            tuple(slot_id for slot_id, _ in slots),
-            sum(off for _, off in slots),
+            tuple(map(_slot, struck)),
         ))
     rows.sort(key=lambda r: r[0])
     by_sum: dict[int, list] = {}
@@ -228,21 +230,30 @@ def _group_table(v: IntVec, count: int):
     return [r[0] for r in rows], rows, by_sum
 
 
+# (sums, rows) of a group that strikes nothing: stands in for the
+# second-to-last group when all companion vectors are equal
+_LONE_GROUP = ([0], [(0, 1, (), ())])
+
+
 def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
     """Distinct children of the i_1 = 1 pivot with signed multiplicities.
 
     Groups equal companion vectors and enumerates index multisets group by
     group, keeping only partial choices whose remaining groups can still
-    meet the delta target. Children that share a memo key, built from the
-    slot ids the group tables carry, are merged. Returns (signed_count,
-    child_vectors, key) triples; the vectors are the first child seen with
-    that key, in lexicographic order of the groups' rows.
+    meet the delta target; the last two groups are matched together, by a
+    lookup of what is left in the last group's value sums. Children that
+    share a memo key, built from the slot ids the group tables carry, are
+    merged. Returns a dict from each child's key to [signed_count, chain],
+    in order of first appearance; the count may be 0. The chain stands for
+    the first child seen with that key, in lexicographic order of the
+    groups' rows: nested (earlier, struck_vectors) pairs that
+    _child_vectors turns into the child's vectors.
     """
     order = len(vectors)
     target = (order - 1) * n + 1
     first = vectors[0]
     drop = 2 * (half - 1)
-    child_first = tuple(x - drop for x in first[:-1])
+    child_first = tuple([x - drop for x in first[:-1]])
     need = target - first[-1] - 1
 
     rest = sorted(vectors[1:])
@@ -262,58 +273,69 @@ def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
         suff_min[g] = suff_min[g + 1] + sums[0]
         suff_max[g] = suff_max[g + 1] + sums[-1]
 
-    first_id, first_off = _slot(child_first)
-    # (left, parity, mult, chosen, ids, shift); parity starts at i_1 = 1
-    partial = [(need, 1, 1, (child_first,), (first_id,), first_off)]
-    for g in range(last):
+    # (left, signed_count, chain, ids); the sign starts at i_1 = 1
+    partial = [(need, -1, (None, (child_first,)), (_slot(child_first),))]
+    for g in range(last - 1):
         sums, rows, _ = tables[g]
         above = suff_max[g + 1]
         below = suff_min[g + 1]
         grown = []
-        for left, parity, mult, chosen, ids, shift in partial:
+        for left, mult, chain, ids in partial:
             lo = bisect_left(sums, left - above)
             hi = bisect_right(sums, left - below)
-            for tau, isum, arr, kids, kid_ids, kid_shift in rows[lo:hi]:
-                grown.append((
-                    left - tau,
-                    parity ^ (isum & 1),
-                    mult * arr,
-                    chosen + kids,
-                    ids + kid_ids,
-                    shift + kid_shift,
-                ))
+            for tau, arr, kids, kid_ids in rows[lo:hi]:
+                grown.append((left - tau, mult * arr, (chain, kids), ids + kid_ids))
         partial = grown
 
-    # the last group's value sum must meet what is left exactly
+    # the last group's value sum must meet what the second-to-last leaves
+    sums, rows = tables[last - 1][:2] if last else _LONE_GROUP
+    above = suff_max[last]
+    below = suff_min[last]
     by_sum = tables[last][2]
     acc: dict = {}
-    for left, parity, mult, chosen, ids, shift in partial:
-        for _, isum, arr, kids, kid_ids, kid_shift in by_sum.get(left, ()):
-            key = (tuple(sorted(ids + kid_ids)), shift + kid_shift)
-            coeff = -mult * arr if parity ^ (isum & 1) else mult * arr
-            slot = acc.get(key)
-            if slot is None:
-                acc[key] = [coeff, chosen + kids]
-            else:
-                slot[0] += coeff
-    return [(slot[0], slot[1], key) for key, slot in acc.items() if slot[0]]
+    for left, mult, chain, ids in partial:
+        lo = bisect_left(sums, left - above)
+        hi = bisect_right(sums, left - below)
+        for tau, arr, kids, kid_ids in rows[lo:hi]:
+            ends = by_sum.get(left - tau)
+            if ends is None:
+                continue
+            mid_mult = mult * arr
+            mid_ids = ids + kid_ids
+            for _, end_arr, end_kids, end_ids in ends:
+                key = tuple(sorted(mid_ids + end_ids))
+                coeff = mid_mult * end_arr
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [coeff, ((chain, kids), end_kids)]
+                else:
+                    slot[0] += coeff
+    return acc
+
+
+def _child_vectors(chain) -> tuple[IntVec, ...]:
+    """The vectors of a child from its chain of struck vectors, in order."""
+    vectors = ()
+    while chain is not None:
+        chain, kids = chain
+        vectors = kids + vectors
+    return vectors
 
 
 def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache, factorize: bool) -> int:
-    """Value of the spec with these vectors; key is their _memo_key."""
+    """Value of a spec of dimension n >= 2 that missed the memo under key,
+    stored there before it is returned.
+
+    The spec's weight is not checked: the top-level one is, and pivot
+    children and split blocks of a spec of the right weight have the right
+    weight. Each child's key is probed here, and the child's vectors are
+    built only on a miss.
+    """
     n = len(vectors[0])
-    if n == 0:
-        return 1
     half = len(vectors) // 2
-    if sum(map(sum, vectors)) != (half - 1) * n * (n - 1):
-        return 0
-    if n == 1:
-        return 1
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     # permutation symmetry: pivot on the vector with the widest entry spread
-    widest = max(range(len(vectors)), key=lambda j: vectors[j][0] - vectors[j][-1])
+    spreads = [v[0] - v[-1] for v in vectors]
+    widest = spreads.index(max(spreads))
     if widest:
         vectors = (vectors[widest],) + vectors[:widest] + vectors[widest + 1 :]
     value: int | None = None
@@ -321,18 +343,36 @@ def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache, factorize: boo
         found = _split(vectors, half, n)
         if found is not None:
             left, right, sign = found
-            lval = _evaluate(left, _memo_key(left), cache, factorize)
-            value = 0
-            if lval:
-                value = sign * lval * _evaluate(right, _memo_key(right), cache, factorize)
+            lval = _lookup(left, cache, factorize)
+            value = sign * lval * _lookup(right, cache, factorize) if lval else 0
     if value is None:
-        value = 0
-        for coeff, child, child_key in _pivot_children(vectors, half, n):
-            sub = _evaluate(child, child_key, cache, factorize)
-            if sub:
-                value += coeff * sub
+        children = _pivot_children(vectors, half, n)
+        if n == 2:
+            # children of dimension 1 are worth 1 and never touch the memo
+            value = sum(coeff for coeff, _ in children.values())
+        else:
+            value = 0
+            get = cache.get
+            for child_key, (coeff, chain) in children.items():
+                if not coeff:
+                    continue
+                sub = get(child_key)
+                if sub is None:
+                    sub = _evaluate(_child_vectors(chain), child_key, cache, factorize)
+                if sub:
+                    value += coeff * sub
     cache.put(key, value)
     return value
+
+
+def _lookup(vectors: tuple[IntVec, ...], cache: MemoCache, factorize: bool) -> int:
+    """Value of a spec of the right weight: 1 below dimension 2, else from
+    the memo or evaluated into it."""
+    if len(vectors[0]) < 2:
+        return 1
+    key = _memo_key(vectors)
+    value = cache.get(key)
+    return _evaluate(vectors, key, cache, factorize) if value is None else value
 
 
 def evaluate(
@@ -347,7 +387,9 @@ def evaluate(
     """
     if cache is None:
         cache = MemoCache()
-    return _evaluate(spec.vectors, _memo_key(spec.vectors), cache, factorize)
+    if not weight_ok(spec):
+        return 0
+    return _lookup(spec.vectors, cache, factorize)
 
 
 def materialize(

@@ -84,20 +84,31 @@ def dominates(a: Iterable[int], b: Iterable[int]) -> bool:
     return True
 
 
+def _prefix_bounds(n: int, k: int) -> tuple[list[int], list[int]]:
+    """Least and greatest sums of the first i+1 parts of an admissible
+    partition of (n, k), for i = 0..n-1: those of the flat lower bound,
+    k(i+1)(n-1), and of the staircase upper bound, k(i+1)(2n-2-i). Both end
+    at the weight k*n*(n-1)."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    lo = [k * (i + 1) * (n - 1) for i in range(n)]
+    up = [k * (i + 1) * (2 * n - 2 - i) for i in range(n)]
+    return lo, up
+
+
 def is_admissible(lam: Iterable[int], n: int, k: int) -> bool:
     """Membership test for the dominance interval of (n, k).
 
     True iff lam has at most n parts, weight k*n*(n-1), and sits between the
-    flat lower bound and the staircase upper bound in dominance order.
+    flat lower bound and the staircase upper bound in dominance order, all
+    read off one pass over its prefix sums.
     """
-    bounds = AdmissibleBounds.of(n, k)
+    lo, up = _prefix_bounds(n, k)
     try:
         lam = as_partition(lam, n)
     except ValueError:
         return False
-    if sum(lam) != bounds.target_weight:
-        return False
-    return dominates(bounds.upper, lam) and dominates(lam, bounds.lower)
+    return all(a <= s <= b for a, s, b in zip(lo, accumulate(lam), up))
 
 
 def enumerate_admissible(n: int, k: int) -> Iterator[IntVec]:
@@ -108,11 +119,8 @@ def enumerate_admissible(n: int, k: int) -> Iterator[IntVec]:
     interval is pruned directly instead of filtering all partitions of the
     weight.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    w = k * n * (n - 1)
-    up = list(accumulate(2 * k * (n - 1 - i) for i in range(n)))
-    lo = [(i + 1) * k * (n - 1) for i in range(n)]
+    lo, up = _prefix_bounds(n, k)
+    w = up[-1]
     out = [0] * n
 
     def rec(idx: int, s: int, prev: int) -> Iterator[IntVec]:

@@ -82,11 +82,12 @@ def read_records(lines: Iterable[str], fmt: str) -> Iterator[ResultRecord]:
             yield decode(line)
 
 
-def enumeration_checksum(n: int, k: int) -> str:
-    """Digest of the canonical admissible enumeration for (n, k)."""
+def enumeration_checksum(n: int, k: int, lams: Iterable[IntVec] | None = None) -> str:
+    """Digest of the canonical admissible enumeration for (n, k), or of lams
+    in its place when they are given."""
     h = hashlib.sha256()
     h.update(f"{n} {k}\n".encode())
-    for lam in enumerate_admissible(n, k):
+    for lam in enumerate_admissible(n, k) if lams is None else lams:
         h.update((" ".join(map(str, lam)) + "\n").encode())
     return h.hexdigest()
 

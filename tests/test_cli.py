@@ -209,6 +209,46 @@ def test_merge_cost_ignores_a_claimed_n(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "shards, count, message",
+    [
+        (1, 0, "(n, k) = (40, 1) has more than 0 admissible partitions"),
+        (10**9, 1, "and 999999994 more: at least 3 missing of more than 3"),
+    ],
+)
+def test_merge_enumerates_no_more_than_the_shards_can_hold(
+    tmp_path, capsys, monkeypatch, shards, count, message
+):
+    # a shard holds at most count * shards + index records, and no more than
+    # one beyond any other, so a manifest claiming n=40 is enumerated only as
+    # far as its few records can account for, whatever shard count it claims
+    real = cli.enumerate_admissible
+    lam = next(real(40, 1))
+
+    def bounded(n, k):
+        for pos, lam in enumerate(real(n, k)):
+            if pos == 1000:
+                raise AssertionError("merge enumerated past what the shards hold")
+            yield lam
+
+    # both enumerators, so that a merge that hashes a second enumeration
+    # fails here instead of running for ever
+    monkeypatch.setattr(cli, "enumerate_admissible", bounded)
+    monkeypatch.setattr("vanschur.records.enumerate_admissible", bounded)
+    manifest = {"n": 40, "k": 1, "shards": shards, "index": 0, "count": count,
+                "checksum": "x"}
+    records = [ResultRecord(n=40, k=1, lam=lam, coeff=1)] * count
+    path = tmp_path / "s.jsonl"
+    path.write_text(
+        "".join(line + "\n" for line in
+                [json.dumps({"manifest": manifest}), *map(record_to_jsonl, records)])
+    )
+    code, _, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_merge_rejects_duplicate_shard(tmp_path, capsys):
     paths = _write_shards(tmp_path, capsys, 4, 1, 2)
     code, _, err = run_cli(
@@ -328,6 +368,24 @@ def test_run_tables_rejects_zero_jobs():
     assert proc.returncode == 2
     assert "--jobs must be >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--extended", "--nmax-k1", "12"], "--nmax-k1 must be between 2 and 11, got 12"),
+        (["--extended", "--nmax-k1", "1"], "--nmax-k1 must be between 2 and 11, got 1"),
+        (["--nmax-k1", "9"], "--nmax-k1 needs --extended"),
+    ],
+)
+def test_run_tables_rejects_a_bad_nmax_k1(args, message):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--counts-only", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):

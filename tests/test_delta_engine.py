@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,9 @@ from vanschur.coefficients import g_coefficient
 from vanschur.delta_engine import (
     DeltaSpec,
     MemoCache,
+    _child_vectors,
     _memo_key,
+    _pivot_children,
     _slot,
     _split,
     evaluate,
@@ -63,20 +66,59 @@ def test_canonicalize_ignores_vector_order(spec, rng):
     assert _memo_key(tuple(shuffled)) == _memo_key(spec.vectors)
 
 
+@functools.cache
+def reachable_subspecs(n, k):
+    """What iter_subspecs gives for each admissible partition of (n, k), in
+    turn; a subspec reached from two partitions appears twice."""
+    return tuple(
+        sub
+        for lam in enumerate_admissible(n, k)
+        for sub in iter_subspecs(DeltaSpec.for_coefficient(lam, n, k))
+    )
+
+
 @pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (4, 3)])
 def test_memo_key_is_a_bijection_of_the_reference_key(n, k):
     # two subspecs share a memo key exactly when they share the reference key
     memo_to_ref: dict = {}
     ref_to_memo: dict = {}
     subspecs = 0
-    for lam in enumerate_admissible(n, k):
-        for sub in iter_subspecs(DeltaSpec.for_coefficient(lam, n, k)):
-            memo, ref = _memo_key(sub.vectors), canonical_key(sub.vectors)
-            assert memo_to_ref.setdefault(memo, ref) == ref
-            assert ref_to_memo.setdefault(ref, memo) == memo
-            subspecs += 1
+    for sub in reachable_subspecs(n, k):
+        memo, ref = _memo_key(sub.vectors), canonical_key(sub.vectors)
+        assert memo_to_ref.setdefault(memo, ref) == ref
+        assert ref_to_memo.setdefault(ref, memo) == memo
+        subspecs += 1
     assert len(memo_to_ref) == len(ref_to_memo) > 100
     assert subspecs > len(memo_to_ref)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (4, 3)])
+def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
+    # evaluate checks the weight only on the spec it is given, so every
+    # pivot child and both split blocks of a spec of the right weight must
+    # have it too; any slot may be the pivot
+    children = blocks = 0
+    checked = set()
+    distinct = {_memo_key(sub.vectors): sub for sub in reachable_subspecs(n, k)}
+    for sub in distinct.values():
+        assert weight_ok(sub)
+        if sub.n < 2:
+            continue
+        vecs = sub.vectors
+        for j in sorted({vecs.index(v) for v in vecs}):
+            pivoted = (vecs[j],) + vecs[:j] + vecs[j + 1 :]
+            for _, chain in _pivot_children(pivoted, sub.half, sub.n).values():
+                child = _child_vectors(chain)
+                if child not in checked:
+                    assert weight_ok(DeltaSpec(child))
+                    checked.add(child)
+                children += 1
+            split = _split(pivoted, sub.half, sub.n)
+            if split is not None:
+                left, right, _ = split
+                assert weight_ok(DeltaSpec(left)) and weight_ok(DeltaSpec(right))
+                blocks += 2
+    assert children > 1000 and blocks > 100
 
 
 def test_pivot_tuples_worked_tensor():
@@ -404,11 +446,31 @@ def test_memo_traffic_of_a_table_is_pinned(n, k, misses, hits):
     assert len(cache) == misses
 
 
+@pytest.mark.parametrize(
+    "lam, n, k, value, misses, hits",
+    [
+        ((11, 10, 8, 7, 3, 3, 0), 7, 1, 36, 6, 0),
+        ((6, 6, 6, 6, 6, 6, 6), 7, 1, -135135, 412, 1328),
+        ((15, 15, 14, 7, 5, 4), 6, 2, 337125, 48, 124),
+        ((10, 10, 10, 10, 10, 10), 6, 2, 190590400, 1263, 20557),
+        ((21, 17, 11, 8, 3), 5, 3, 512442, 24, 63),
+        ((15, 12, 11, 11, 11), 5, 3, -1182835500, 280, 5148),
+    ],
+)
+def test_memo_traffic_of_a_cold_coefficient_is_pinned(lam, n, k, value, misses, hits):
+    # a fresh MemoCache per coefficient, as a one-off `vanschur coeff` uses
+    # it; cheap and costly partitions of three cells
+    cache = MemoCache()
+    assert g_coefficient(lam, n, k, cache) == value
+    assert (cache.misses, cache.hits) == (misses, hits)
+    assert len(cache) == misses
+
+
 def test_slot_ids_stay_distinct_under_threads():
     # the slot-id table is process-wide: vectors interned by concurrent
     # threads must still get one id each
     def intern(head):
-        return [((head, j, 0), _slot((head, j, 0))[0]) for j in range(300)]
+        return [((head, j, 0), _slot((head, j, 0))) for j in range(300)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -419,4 +481,4 @@ def test_slot_ids_stay_distinct_under_threads():
     finally:
         sys.setswitchinterval(old)
     assert len({vec for vec, _ in interned}) == len({i for _, i in interned}) == 8 * 300
-    assert all(_slot(vec)[0] == slot_id for vec, slot_id in interned)
+    assert all(_slot(vec) == slot_id for vec, slot_id in interned)
