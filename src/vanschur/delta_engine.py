@@ -18,11 +18,25 @@ in 0, is interned once per process as a small int id. The ids fix each
 vector up to its shift, and the weight fixes the sum of the shifts, so the
 key needs no total shift. The group tables carry the ids of the vectors
 they strike, so the pivot enumeration builds each child's key from ints,
-once. `_evaluate` probes the memo with each child's key in its own loop and
+once. `_pivot_sum` probes the memo with each child's key in its own loop and
 recurses only on a miss; a child's vectors are built only then, from the
 group rows its enumeration chose. The id table and the group tables are
 process-wide and unbounded: the (8,1) table interns about 11,000 slot
 vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2) about 1,800.
+
+The children of one pivot differ only in what the companions, the vectors
+other than the pivot, strike; the pivot's own child is the same for all of
+them. That companion side depends only on the sorted companions and on
+need = (2K-1)n - first[-1], so each MemoCache keeps it in `pivots`, keyed on
+the pair, for as long as the memo lives. A table meets most pairs again (on
+(8,1), 91% of its pivot enumerations repeat one), a cold coefficient almost
+never (1.5%), so only what comes back is kept: a pair's first sight
+enumerates with the pivot child's id among the starting ids and leaves a
+marker, and the second keeps, in one flat tuple, each distinct child's
+struck slot ids, struck vectors and signed count. A later sight puts the
+pivot child's id among each child's ids to get its memo key, so keys, their
+order, the vectors each key is evaluated on and the memo counts are those of
+a fresh enumeration.
 """
 
 from __future__ import annotations
@@ -88,13 +102,19 @@ class MemoCache:
     Unbounded: every stored value stays for the life of the cache, so the
     engine evaluates each subproblem at most once per cache and stores every
     miss. Inserts are idempotent: re-inserting a key with a conflicting value
-    is a bug and raises.
+    is a bug and raises. `pivots` keeps, for the same lifetime, the companion
+    side of the pivot enumerations that came back (see _pivot_sum); it
+    changes no key, value or count of the memo.
     """
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
         self._data: dict = {}
+        # (sorted companion vectors, need) -> the kept companion side of
+        # their pivot enumeration, or None after the first sight; see
+        # _pivot_sum
+        self.pivots: dict = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -153,16 +173,11 @@ def _split(vectors: tuple[IntVec, ...], half: int, n: int):
     first = vectors[0]
     rest = vectors[1:]
     base = half - 1
-    head = 0
-    tails = [0] * (n + 1)
-    for v in rest:
-        acc = 0
-        for m in range(1, n):
-            acc += v[n - m]
-            tails[m] += acc
-    for m in range(1, n):
-        head += first[m - 1]
-        if head + tails[m] != base * m * (2 * n - m - 1):
+    # the other slots' m-tails summed, for m = 1, 2, ...: suffix sums of
+    # their column sums
+    tails = itertools.accumulate(reversed(list(map(sum, zip(*rest)))))
+    for m, head, tail in zip(range(1, n), itertools.accumulate(first), tails):
+        if head + tail != base * m * (2 * n - m - 1):
             continue
         off = 2 * base * (n - m)
         left = (tuple(x - off for x in first[:m]),) + tuple(v[n - m :] for v in rest)
@@ -235,28 +250,25 @@ def _group_table(v: IntVec, count: int):
 _LONE_GROUP = ([0], [(0, 1, (), ())])
 
 
-def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
-    """Distinct children of the i_1 = 1 pivot with signed multiplicities.
+def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: tuple[int, ...]):
+    """Distinct children of the i_1 = 1 pivot with signed multiplicities, as
+    far as the companions decide them.
 
-    Groups equal companion vectors and enumerates index multisets group by
-    group, keeping only partial choices whose remaining groups can still
-    meet the delta target; the last two groups are matched together, by a
-    lookup of what is left in the last group's value sums. Children that
-    share a memo key, built from the slot ids the group tables carry, are
-    merged. Returns a dict from each child's key to [signed_count, chain],
-    in order of first appearance; the count may be 0. The chain stands for
-    the first child seen with that key, in lexicographic order of the
-    groups' rows: nested (earlier, struck_vectors) pairs that
-    _child_vectors turns into the child's vectors.
+    rest is the sorted companion vectors, the spec's vectors other than the
+    pivot. With i_1 = 1 the delta condition asks the companions' terms
+    v[n-i+1] + i to add up to need = (2K-1)n - first[-1]. Groups equal
+    companion vectors and enumerates index multisets group by group, keeping
+    only partial choices whose remaining groups can still meet need; the
+    last two groups are matched together, by a lookup of what is left in the
+    last group's value sums. Each child's key is the sorted tuple of ids and
+    the struck companions' slot ids, built from the ids the group tables
+    carry; children that share a key are merged. Returns a dict from each
+    key to [signed_count, chain], in order of first appearance; the count
+    includes the pivot's sign and may be 0. The chain stands for the first
+    child seen with that key, in lexicographic order of the groups' rows:
+    nested (earlier, struck_vectors) pairs that _child_vectors turns into
+    the struck companions, in group order.
     """
-    order = len(vectors)
-    target = (order - 1) * n + 1
-    first = vectors[0]
-    drop = 2 * (half - 1)
-    child_first = tuple([x - drop for x in first[:-1]])
-    need = target - first[-1] - 1
-
-    rest = sorted(vectors[1:])
     groups: list[tuple[IntVec, int]] = []
     for v in rest:
         if groups and groups[-1][0] == v:
@@ -274,7 +286,7 @@ def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
         suff_max[g] = suff_max[g + 1] + sums[-1]
 
     # (left, signed_count, chain, ids); the sign starts at i_1 = 1
-    partial = [(need, -1, (None, (child_first,)), (_slot(child_first),))]
+    partial = [(need, -1, None, ids)]
     for g in range(last - 1):
         sums, rows, _ = tables[g]
         above = suff_max[g + 1]
@@ -313,8 +325,23 @@ def _pivot_children(vectors: tuple[IntVec, ...], half: int, n: int):
     return acc
 
 
+def _kept_children(rest: tuple[IntVec, ...], need: int) -> tuple:
+    """The companion side of a pivot enumeration in the flat form the
+    MemoCache keeps: for each child with a nonzero count, in order of first
+    appearance, its sorted struck slot ids, its struck vectors and its signed
+    count, all in one tuple."""
+    flat = []
+    for ids, (coeff, chain) in _pivot_children(rest, need, ()).items():
+        if coeff:
+            flat += ids
+            flat += _child_vectors(chain)
+            flat.append(coeff)
+    return tuple(flat)
+
+
 def _child_vectors(chain) -> tuple[IntVec, ...]:
-    """The vectors of a child from its chain of struck vectors, in order."""
+    """The struck companion vectors of a child from its chain, in group
+    order."""
     vectors = ()
     while chain is not None:
         chain, kids = chain
@@ -328,8 +355,7 @@ def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache, factorize: boo
 
     The spec's weight is not checked: the top-level one is, and pivot
     children and split blocks of a spec of the right weight have the right
-    weight. Each child's key is probed here, and the child's vectors are
-    built only on a miss.
+    weight.
     """
     n = len(vectors[0])
     half = len(vectors) // 2
@@ -346,22 +372,66 @@ def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache, factorize: boo
             lval = _lookup(left, cache, factorize)
             value = sign * lval * _lookup(right, cache, factorize) if lval else 0
     if value is None:
-        children = _pivot_children(vectors, half, n)
-        if n == 2:
-            # children of dimension 1 are worth 1 and never touch the memo
-            value = sum(coeff for coeff, _ in children.values())
-        else:
-            value = 0
-            get = cache.get
-            for child_key, (coeff, chain) in children.items():
-                if not coeff:
-                    continue
-                sub = get(child_key)
-                if sub is None:
-                    sub = _evaluate(_child_vectors(chain), child_key, cache, factorize)
-                if sub:
-                    value += coeff * sub
+        value = _pivot_sum(vectors, half, n, cache, factorize)
     cache.put(key, value)
+    return value
+
+
+def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache,
+               factorize: bool) -> int:
+    """Signed sum of the values of the i_1 = 1 pivot children.
+
+    Each child's key is probed here, and the child's vectors are built only
+    on a miss. The companion side of the enumeration depends only on the
+    sorted companions and need, and the pivot's child is the same for every
+    child, so a child's key is its struck companion ids with the pivot
+    child's id put in place. The first sight of (companions, need)
+    enumerates with that id among the starting ids and leaves a marker in
+    cache.pivots; the second keeps the companion side there, and later ones
+    reuse it.
+    """
+    first = vectors[0]
+    need = (2 * half - 1) * n - first[-1]
+    rest = tuple(sorted(vectors[1:]))
+    if n == 2:
+        # children of dimension 1 are worth 1 and never touch the memo
+        return sum(coeff for coeff, _ in _pivot_children(rest, need, ()).values())
+    drop = 2 * (half - 1)
+    child_first = tuple([x - drop for x in first[:-1]])
+    pivot_id = _slot(child_first)
+    pivot_ids = (pivot_id,)
+    get = cache.get
+    value = 0
+    # one hash of the companion key: setdefault leaves the marker on a first
+    # sight, and the size of the dict tells whether it did
+    pivots = cache.pivots
+    size = len(pivots)
+    pivot_key = (rest, need)
+    kept = pivots.setdefault(pivot_key, None)
+    if len(pivots) > size:
+        for child_key, (coeff, chain) in _pivot_children(rest, need, pivot_ids).items():
+            if not coeff:
+                continue
+            sub = get(child_key)
+            if sub is None:
+                child = (child_first,) + _child_vectors(chain)
+                sub = _evaluate(child, child_key, cache, factorize)
+            if sub:
+                value += coeff * sub
+        return value
+    if kept is None:
+        kept = pivots[pivot_key] = _kept_children(rest, need)
+    width = len(rest)
+    for at in range(0, len(kept), 2 * width + 1):
+        mid = at + width
+        cut = bisect_left(kept, pivot_id, at, mid)
+        child_key = kept[at:cut] + pivot_ids + kept[cut:mid]
+        sub = get(child_key)
+        if sub is None:
+            child = (child_first,) + kept[mid : mid + width]
+            sub = _evaluate(child, child_key, cache, factorize)
+        if sub:
+            value += kept[mid + width] * sub
     return value
 
 

@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .partitions import IntVec, as_partition, enumerate_admissible
+
+
+# what record_to_jsonl writes for a coefficient, and all that is read back
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,8 @@ class ShardManifest:
     checksum: str
 
     def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise ValueError(f"n and k must be positive, got n={self.n}, k={self.k}")
         if not 0 <= self.index < self.shards:
             raise ValueError(f"shard index {self.index} outside 0..{self.shards - 1}")
 
@@ -44,13 +51,26 @@ def record_to_jsonl(r: ResultRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer, refusing the bools and floats that int() would take."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def record_from_jsonl(line: str) -> ResultRecord:
     obj = json.loads(line)
+    lam = obj["lambda"]
+    if type(lam) is not list:
+        raise ValueError(f"lambda must be a JSON list, got {lam!r}")
+    coeff = obj["coeff"]
+    if type(coeff) is not str or not _DECIMAL.fullmatch(coeff):
+        raise ValueError(f"coeff must be a decimal integer string, got {coeff!r}")
     return ResultRecord(
-        n=int(obj["n"]),
-        k=int(obj["k"]),
-        lam=tuple(int(x) for x in obj["lambda"]),
-        coeff=int(obj["coeff"]),
+        n=_json_int(obj["n"], "n"),
+        k=_json_int(obj["k"], "k"),
+        lam=tuple(_json_int(x, "lambda part") for x in lam),
+        coeff=int(coeff),
     )
 
 
@@ -112,10 +132,10 @@ def manifest_from_jsonl(line: str) -> ShardManifest:
         raise ValueError("shard file does not start with a manifest line")
     m = obj["manifest"]
     return ShardManifest(
-        n=int(m["n"]),
-        k=int(m["k"]),
-        shards=int(m["shards"]),
-        index=int(m["index"]),
-        count=int(m["count"]),
+        n=_json_int(m["n"], "n"),
+        k=_json_int(m["k"], "k"),
+        shards=_json_int(m["shards"], "shards"),
+        index=_json_int(m["index"], "index"),
+        count=_json_int(m["count"], "count"),
         checksum=str(m["checksum"]),
     )

@@ -292,6 +292,50 @@ def test_merge_names_file_and_line_of_a_bad_line(tmp_path, capsys, lineno, text)
     assert not (tmp_path / "m.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "lineno, old, new",
+    [
+        (2, '"coeff":"1"', '"coeff":1.75'),
+        (2, '"coeff":"1"', '"coeff":1'),
+        (2, '"coeff":"1"', '"coeff":" 1"'),
+        (2, '"coeff":"1"', '"coeff":"1_0"'),
+        (2, '"lambda":[4,2,0]', '"lambda":[4.6,2,0]'),
+        (2, '"lambda":[4,2,0]', '"lambda":[4,true,0]'),
+        (2, '"n":3', '"n":1e400'),
+        (2, '"k":1', '"k":true'),
+        (1, '"n":3', '"n":1e400'),
+        (1, '"k":1', '"k":1.0'),
+        (1, '"shards":1', '"shards":true'),
+        (1, '"index":0', '"index":0.0'),
+        (1, '"count":5', '"count":"5"'),
+    ],
+)
+def test_merge_decodes_only_integers(tmp_path, capsys, lineno, old, new):
+    # int() would round a float, take a bool or overflow on 1e400; JSON
+    # integers are the only numbers a shard file holds, and a coefficient is
+    # a decimal string
+    (path,) = _write_shards(tmp_path, capsys, 3, 1, 1)
+    lines = path.read_text().splitlines()
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 2
+    assert f"merge failure: {path}:{lineno}:" in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (-2, 1)])
+def test_merge_refuses_a_manifest_with_nonpositive_n_or_k(tmp_path, capsys, n, k):
+    manifest = {"n": n, "k": k, "shards": 1, "index": 0, "count": 0, "checksum": "x"}
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"manifest": manifest}) + "\n")
+    code, _, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 2
+    assert f"merge failure: {path}:1: ValueError: n and k must be positive" in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 @pytest.mark.parametrize("shards,index,flag", [(0, 0, "--shards"), (2, 2, "index")])
 def test_shard_rejects_bad_shard_numbers(capsys, shards, index, flag):
     code, _, err = run_cli(

@@ -14,6 +14,7 @@ from conftest import (
     weighted_delta_specs,
 )
 from reference import canonical_key, child_spec, iter_subspecs, pivot_tuples
+from vanschur import delta_engine
 from vanschur.coefficients import g_coefficient
 from vanschur.delta_engine import (
     DeltaSpec,
@@ -21,6 +22,7 @@ from vanschur.delta_engine import (
     _child_vectors,
     _memo_key,
     _pivot_children,
+    _pivot_sum,
     _slot,
     _split,
     evaluate,
@@ -92,6 +94,19 @@ def test_memo_key_is_a_bijection_of_the_reference_key(n, k):
     assert subspecs > len(memo_to_ref)
 
 
+def pivotings(sub):
+    """The spec with each of its distinct vectors moved to the pivot slot."""
+    vecs = sub.vectors
+    for j in sorted({vecs.index(v) for v in vecs}):
+        yield (vecs[j],) + vecs[:j] + vecs[j + 1 :]
+
+
+def pivot_child_first(first, half):
+    """First vector of every i_1 = 1 pivot child: the pivot vector without
+    its last entry, lowered by 2(K-1)."""
+    return tuple(x - 2 * (half - 1) for x in first[:-1])
+
+
 @pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (4, 3)])
 def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
     # evaluate checks the weight only on the spec it is given, so every
@@ -104,11 +119,12 @@ def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
         assert weight_ok(sub)
         if sub.n < 2:
             continue
-        vecs = sub.vectors
-        for j in sorted({vecs.index(v) for v in vecs}):
-            pivoted = (vecs[j],) + vecs[:j] + vecs[j + 1 :]
-            for _, chain in _pivot_children(pivoted, sub.half, sub.n).values():
-                child = _child_vectors(chain)
+        for pivoted in pivotings(sub):
+            first, rest = pivoted[0], tuple(sorted(pivoted[1:]))
+            head = pivot_child_first(first, sub.half)
+            need = (2 * sub.half - 1) * sub.n - first[-1]
+            for _, chain in _pivot_children(rest, need, (_slot(head),)).values():
+                child = (head,) + _child_vectors(chain)
                 if child not in checked:
                     assert weight_ok(DeltaSpec(child))
                     checked.add(child)
@@ -119,6 +135,53 @@ def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
                 assert weight_ok(DeltaSpec(left)) and weight_ok(DeltaSpec(right))
                 blocks += 2
     assert children > 1000 and blocks > 100
+
+
+def probed_children(pivoted, half, n, cache, monkeypatch):
+    """(key, signed count, vectors) of each child _pivot_sum probes, in order.
+
+    The memo misses every child, and each child is worth a distinct power of
+    2**64, so the signed sum _pivot_sum returns spells out every count."""
+    seen = []
+
+    def record(child, child_key, cache, factorize):
+        seen.append((child_key, child))
+        return 1 << (64 * len(seen))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(delta_engine, "_evaluate", record)
+        total = _pivot_sum(pivoted, half, n, cache, True) >> 64
+    children = []
+    for child_key, child in seen:
+        count = total & ((1 << 64) - 1)
+        count -= (count >> 63) << 64
+        total = (total - count) >> 64
+        children.append((child_key, count, child))
+    assert total == 0
+    return children
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (6, 1), (4, 3)])
+def test_kept_companion_side_gives_the_children_of_the_first_sight(n, k, monkeypatch):
+    # the first sight of (companions, need) enumerates with the pivot child's
+    # id among the starting ids; the second keeps the companion side and the
+    # third reuses it: all three must probe the same keys in the same order,
+    # with the same counts and the same vectors
+    distinct = {_memo_key(sub.vectors): sub for sub in reachable_subspecs(n, k)}
+    compared = 0
+    for sub in distinct.values():
+        if sub.n < 3:
+            continue
+        for pivoted in pivotings(sub):
+            cache = MemoCache()
+            cold = probed_children(pivoted, sub.half, sub.n, cache, monkeypatch)
+            assert len(cache.pivots) == 1 and None in cache.pivots.values()
+            for _ in range(2):
+                warm = probed_children(pivoted, sub.half, sub.n, cache, monkeypatch)
+                assert warm == cold
+            assert None not in cache.pivots.values()
+            compared += len(cold)
+    assert compared > 1000
 
 
 def test_pivot_tuples_worked_tensor():
@@ -464,6 +527,23 @@ def test_memo_traffic_of_a_cold_coefficient_is_pinned(lam, n, k, value, misses, 
     assert g_coefficient(lam, n, k, cache) == value
     assert (cache.misses, cache.hits) == (misses, hits)
     assert len(cache) == misses
+
+
+@pytest.mark.parametrize(
+    "lams, n, k, kept, seen",
+    [
+        (None, 7, 1, 1073, 1233),
+        ([(10, 10, 10, 10, 10, 10)], 6, 2, 5, 1175),
+    ],
+)
+def test_kept_companion_results_are_pinned(lams, n, k, kept, seen):
+    # a table comes back to most (companions, need) it sees, a cold
+    # coefficient to few; only those that come back are kept
+    cache = MemoCache()
+    for lam in enumerate_admissible(n, k) if lams is None else lams:
+        g_coefficient(lam, n, k, cache)
+    assert len(cache.pivots) == seen
+    assert sum(v is not None for v in cache.pivots.values()) == kept
 
 
 def test_slot_ids_stay_distinct_under_threads():
