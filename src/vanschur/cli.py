@@ -1,7 +1,8 @@
 """Command-line surface: single coefficients, expansions, counts, oracle
 verification, and deterministic file-based sharding.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure.
+Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure,
+141 (128 + SIGPIPE) when the reader of the output closes it early.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .records import (
 
 USAGE_EXIT = 1
 VERIFY_EXIT = 2
+PIPE_EXIT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,7 +351,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that leaves early shows here at the latest, not in the
+        # interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what stdout still buffers can never be delivered; send it to
+        # devnull so the exit flush does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_EXIT
     except (ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -7,6 +7,7 @@ explicit trailing zeros up to length n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -84,16 +85,23 @@ def dominates(a: Iterable[int], b: Iterable[int]) -> bool:
     return True
 
 
-def _prefix_bounds(n: int, k: int) -> tuple[list[int], list[int]]:
+@functools.cache
+def _prefix_bounds(n: int, k: int) -> tuple[IntVec, IntVec]:
     """Least and greatest sums of the first i+1 parts of an admissible
     partition of (n, k), for i = 0..n-1: those of the flat lower bound,
     k(i+1)(n-1), and of the staircase upper bound, k(i+1)(2n-2-i). Both end
     at the weight k*n*(n-1)."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    lo = [k * (i + 1) * (n - 1) for i in range(n)]
-    up = [k * (i + 1) * (2 * n - 2 - i) for i in range(n)]
+    lo = tuple(k * (i + 1) * (n - 1) for i in range(n))
+    up = tuple(k * (i + 1) * (2 * n - 2 - i) for i in range(n))
     return lo, up
+
+
+def _within_bounds(lam: IntVec, n: int, k: int) -> bool:
+    """is_admissible for a partition that as_partition(lam, n) returned."""
+    lo, up = _prefix_bounds(n, k)
+    return all(a <= s <= b for a, s, b in zip(lo, accumulate(lam), up))
 
 
 def is_admissible(lam: Iterable[int], n: int, k: int) -> bool:
@@ -103,12 +111,12 @@ def is_admissible(lam: Iterable[int], n: int, k: int) -> bool:
     flat lower bound and the staircase upper bound in dominance order, all
     read off one pass over its prefix sums.
     """
-    lo, up = _prefix_bounds(n, k)
+    _prefix_bounds(n, k)  # a bad (n, k) raises, whatever lam is
     try:
         lam = as_partition(lam, n)
     except ValueError:
         return False
-    return all(a <= s <= b for a, s, b in zip(lo, accumulate(lam), up))
+    return _within_bounds(lam, n, k)
 
 
 def enumerate_admissible(n: int, k: int) -> Iterator[IntVec]:

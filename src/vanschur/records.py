@@ -15,7 +15,8 @@ from typing import Iterable, Iterator
 from .partitions import IntVec, as_partition, enumerate_admissible
 
 
-# what record_to_jsonl writes for a coefficient, and all that is read back
+# what record_to_jsonl writes for a coefficient and record_to_csv for every
+# field, and all that is read back: int() would also take "1_0", " 7", "+7"
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
@@ -78,13 +79,19 @@ def record_to_csv(r: ResultRecord) -> str:
     return f"{r.n},{r.k},{' '.join(map(str, r.lam))},{r.coeff}"
 
 
+def _csv_int(text: str, name: str) -> int:
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
 def record_from_csv(line: str) -> ResultRecord:
     n, k, lam, coeff = line.rstrip("\n").split(",")
     return ResultRecord(
-        n=int(n),
-        k=int(k),
-        lam=tuple(int(x) for x in lam.split()),
-        coeff=int(coeff),
+        n=_csv_int(n, "n"),
+        k=_csv_int(k, "k"),
+        lam=tuple(_csv_int(x, "lambda part") for x in lam.split(" ")),
+        coeff=_csv_int(coeff, "coeff"),
     )
 
 

@@ -374,6 +374,58 @@ def test_record_round_trips(record):
     assert record_from_csv(record_to_csv(record)) == record
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "3,1,4 1 1,1_0",
+        "3,1,4 1 1, 7",
+        "3,1,4 1 1,+7",
+        "3,1,4 1 1,7 ",
+        "3,1,4 1 1,1.5",
+        "3,1,4 1 1,\u0667",
+        "1_0,1,4 1 1,7",
+        " 3,1,4 1 1,7",
+        "3,+1,4 1 1,7",
+        "3,1,4 1 1_0,7",
+        "3,1,4 +1 1,7",
+        "3,1,4  1 1,7",
+        "3,1, 4 1 1,7",
+        "3,1,,7",
+        "3,1,4 1 1,",
+    ],
+)
+def test_csv_decodes_only_what_it_writes(line):
+    # int() would read each of these; record_to_csv writes none of them
+    with pytest.raises(ValueError):
+        record_from_csv(line)
+    record = ResultRecord(n=3, k=1, lam=(4, 1, 1), coeff=-3)
+    assert record_to_csv(record) == "3,1,4 1 1,-3"
+    assert record_from_csv("3,1,4 1 1,-3\n") == record
+
+
+def test_closed_output_pipe_exits_quietly_with_141():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # about 300 kB of output, more than a pipe holds, so the writer is still
+    # writing when the reader leaves
+    with subprocess.Popen(
+        [sys.executable, "-m", "vanschur", "expand", "--n", "8", "--k", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+    assert first.startswith(b'{"n":8,"k":1,')
+    assert err == b""
+    assert code == 141
+
+
 def test_jsonl_and_csv_agree_on_decoded_records(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vanschur import coefficients
@@ -7,6 +9,7 @@ from vanschur.coefficients import (
     expand,
     factorize_g,
     g_coefficient,
+    g_coefficients,
 )
 from vanschur.delta_engine import MemoCache
 from vanschur.oracle import schur_expansion_bruteforce
@@ -78,6 +81,117 @@ def test_workers_are_capped_by_the_cpu_count(monkeypatch, cpus):
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(coefficients, "ProcessPoolExecutor", NoPool)
     assert list(expand(4, 1, workers=50000)) == list(expand(4, 1))
+
+
+def complement(lam, n, k):
+    return tuple(2 * k * (n - 1) - x for x in reversed(lam))
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (7, 1), (5, 2), (4, 3)])
+def test_complement_identity_over_whole_tables(n, k):
+    # tables evaluate one member of each complement pair; this keeps the
+    # engine checked on the member they skip
+    lams = list(enumerate_admissible(n, k))
+    comps = [complement(lam, n, k) for lam in lams]
+    assert all(is_admissible(c, n, k) for c in comps)
+    direct, flipped = MemoCache(), MemoCache()
+    assert [g_coefficient(lam, n, k, direct) for lam in lams] == [
+        g_coefficient(c, n, k, flipped) for c in comps
+    ]
+
+
+class InlinePool:
+    """A process pool that runs its stripes here, one after the other."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_complement_class_is_evaluated_once(monkeypatch, workers):
+    n, k = 5, 2
+    lams = list(enumerate_admissible(n, k))
+    calls = []
+
+    def recording(lam, n, k, cache=None):
+        calls.append(lam)
+        return g_coefficient(lam, n, k, cache)
+
+    monkeypatch.setattr(coefficients, "g_coefficient", recording)
+    monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", InlinePool)
+    values = g_coefficients(lams, n, k, workers)
+    distinct = list(dict.fromkeys(min(lam, complement(lam, n, k)) for lam in lams))
+    # stripe j of W takes distinct members j, j+W, ...
+    assert calls == [lam for j in range(workers) for lam in distinct[j::workers]]
+    assert values == [g_coefficient(lam, n, k) for lam in lams]
+
+
+@pytest.mark.parametrize(
+    "n, k, misses, hits",
+    [(6, 1, 661, 1242), (7, 1, 4180, 11935), (5, 2, 1477, 7375), (4, 3, 440, 1452)],
+)
+def test_memo_traffic_of_g_coefficients_is_pinned(monkeypatch, n, k, misses, hits):
+    # the smaller members of a table share far more of their subproblems
+    # than the whole table does (pinned per partition in test_delta_engine)
+    caches = []
+
+    class Recorded(MemoCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(coefficients, "MemoCache", Recorded)
+    g_coefficients(list(enumerate_admissible(n, k)), n, k)
+    assert [(c.misses, c.hits, len(c)) for c in caches] == [(misses, hits, misses)]
+
+
+def loop_outcome(lams, n, k):
+    try:
+        return [g_coefficient(lam, n, k) for lam in lams]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def list_outcome(lams, n, k):
+    try:
+        return g_coefficients(lams, n, k)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+shuffled_5_2 = list(enumerate_admissible(5, 2))
+random.Random(7).shuffle(shuffled_5_2)
+
+
+@pytest.mark.parametrize(
+    "lams, n, k",
+    [
+        ([(4, 2), [4, 1, 1], (2, 2, 2), (4,)], 3, 1),
+        ([(4, 1, 1), (2, 2, 2), (4, 1, 1), (3, 2, 1), (2, 2, 2), (3, 2, 1)], 3, 1),
+        ([(6, 0, 0), (5, 1, 0), (9, 0, 0), (1, 1, 1), (4, 2, 0), ()], 3, 1),
+        ([(4, 1, 1), (1, 2, 3), (1, 1, 1, 1)], 3, 1),
+        ([(4, 1, 1), (1, 1, 1, 1), (1, 2, 3)], 3, 1),
+        ([(4, 1, 1), (2, 2, -2)], 3, 1),
+        (shuffled_5_2 + shuffled_5_2[:50] + [(16, 4, 0, 0, 0)], 5, 2),
+        ([], 0, 1),
+        ([()], 0, 1),
+        ([(1,)], 0, 1),
+    ],
+)
+def test_g_coefficients_agrees_with_a_g_coefficient_loop(lams, n, k):
+    # short, repeated, inadmissible (parts above 2k(n-1) too) and malformed
+    # partitions: the same values, or the same ValueError
+    assert list_outcome(lams, n, k) == loop_outcome(lams, n, k)
 
 
 def test_factorize_g_example():
