@@ -163,7 +163,7 @@ def cmd_shard(args) -> int:
         shards=args.shards,
         index=args.index,
         count=len(mine),
-        checksum=enumeration_checksum(args.n, args.k),
+        checksum=enumeration_checksum(args.n, args.k, lams),
     )
     with _output(args.out) as out:
         values = g_coefficients(mine, args.n, args.k)

@@ -7,13 +7,12 @@ g(lam) = g(lam^c) for the complement lam^c_i = 2k(n-1) - lam_(n+1-i). A list
 of coefficients therefore evaluates one member of each complement pair, the
 lexicographically smaller one, and gives its exact value to both; the
 smaller members share far more subproblems in one memo than a mix of both
-members does (34,210 memo entries against 92,281 on the (8,1) table).
+members does (34,215 memo entries against 92,317 on the (8,1) table).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,6 +100,9 @@ def g_coefficients(
     if workers == 1 or len(distinct) < 2 * workers:
         values = _stripe((distinct, n, k))
     else:
+        # imported here: a serial run would pay for it at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         values = [0] * len(distinct)
         stripes = [(distinct[j::workers], n, k) for j in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,6 +10,13 @@ generalized Laplace recursion pivoted on i_1 = 1, with memoization keyed on
 the permutation/shift symmetry classes, a block-factorization shortcut, and
 grouped enumeration of the surviving index tuples.
 
+The block split is tried only in `_lookup`: on the spec `evaluate` is given
+and on the blocks of its splits, whose companions are all zero vectors when
+the spec is a coefficient's. Pivot children go straight to the pivot sum,
+because the split hardly ever applies to them: on the (8,1) table, trying it
+on every miss (34,210 `_split` calls) saves 5 of 34,215 misses, while never
+trying it at all would raise them to 36,667.
+
 The weight (K-1)n(n-1) is checked once, on the spec `evaluate` is given:
 the pivot children and the split blocks of a spec of that weight have it
 too. The memo key of a spec is the sorted tuple of its slot ids. A slot
@@ -28,15 +35,17 @@ The children of one pivot differ only in what the companions, the vectors
 other than the pivot, strike; the pivot's own child is the same for all of
 them. That companion side depends only on the sorted companions and on
 need = (2K-1)n - first[-1], so each MemoCache keeps it in `pivots`, keyed on
-the pair, for as long as the memo lives. A table meets most pairs again (on
-(8,1), 91% of its pivot enumerations repeat one), a cold coefficient almost
-never (1.5%), so only what comes back is kept: a pair's first sight
-enumerates with the pivot child's id among the starting ids and leaves a
-marker, and the second keeps, in one flat tuple, each distinct child's
-struck slot ids, struck vectors and signed count. A later sight puts the
-pivot child's id among each child's ids to get its memo key, so keys, their
-order, the vectors each key is evaluated on and the memo counts are those of
-a fresh enumeration.
+the pair, for as long as the memo lives. A table comes back to most pairs
+(79% of the (8,1) table's sights of a pair are returns to one it holds), a
+cold coefficient to few (6% over the benchmark's 480 pooled ones), so the
+memo chooses from what it has seen. While its returns number at most half
+the pairs it holds, a pair's first sight enumerates with the pivot child's
+id among the starting ids and leaves a marker, and the second keeps, in one
+flat tuple, each distinct child's struck slot ids, struck vectors and signed
+count. Beyond that line a first sight keeps that tuple at once, so no pair
+is enumerated twice. A later sight puts the pivot child's id among each
+child's ids to get its memo key, so keys, their order, the vectors each key
+is evaluated on and the memo counts are those of a fresh enumeration.
 """
 
 from __future__ import annotations
@@ -103,8 +112,8 @@ class MemoCache:
     engine evaluates each subproblem at most once per cache and stores every
     miss. Inserts are idempotent: re-inserting a key with a conflicting value
     is a bug and raises. `pivots` keeps, for the same lifetime, the companion
-    side of the pivot enumerations that came back (see _pivot_sum); it
-    changes no key, value or count of the memo.
+    side of pivot enumerations (see _pivot_sum); it changes no key, value or
+    count of the memo.
     """
 
     def __init__(self):
@@ -112,9 +121,11 @@ class MemoCache:
         self.misses = 0
         self._data: dict = {}
         # (sorted companion vectors, need) -> the kept companion side of
-        # their pivot enumeration, or None after the first sight; see
+        # their pivot enumeration, or None after a first sight that did not
+        # keep it; returns counts the sights of a pair already held. See
         # _pivot_sum
         self.pivots: dict = {}
+        self.returns = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -349,46 +360,41 @@ def _child_vectors(chain) -> tuple[IntVec, ...]:
     return vectors
 
 
-def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache, factorize: bool) -> int:
-    """Value of a spec of dimension n >= 2 that missed the memo under key,
-    stored there before it is returned.
+def _widest_first(vectors: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
+    """The spec with its first vector of the widest entry spread moved to the
+    pivot slot (permutation symmetry)."""
+    spreads = [v[0] - v[-1] for v in vectors]
+    widest = spreads.index(max(spreads))
+    if widest:
+        vectors = (vectors[widest],) + vectors[:widest] + vectors[widest + 1 :]
+    return vectors
+
+
+def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache) -> int:
+    """Value of a spec of dimension n >= 2 that missed the memo under key, by
+    its pivot sum, stored there before it is returned.
 
     The spec's weight is not checked: the top-level one is, and pivot
     children and split blocks of a spec of the right weight have the right
     weight.
     """
-    n = len(vectors[0])
-    half = len(vectors) // 2
-    # permutation symmetry: pivot on the vector with the widest entry spread
-    spreads = [v[0] - v[-1] for v in vectors]
-    widest = spreads.index(max(spreads))
-    if widest:
-        vectors = (vectors[widest],) + vectors[:widest] + vectors[widest + 1 :]
-    value: int | None = None
-    if factorize:
-        found = _split(vectors, half, n)
-        if found is not None:
-            left, right, sign = found
-            lval = _lookup(left, cache, factorize)
-            value = sign * lval * _lookup(right, cache, factorize) if lval else 0
-    if value is None:
-        value = _pivot_sum(vectors, half, n, cache, factorize)
+    value = _pivot_sum(_widest_first(vectors), len(vectors) // 2, len(vectors[0]), cache)
     cache.put(key, value)
     return value
 
 
-def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache,
-               factorize: bool) -> int:
+def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache) -> int:
     """Signed sum of the values of the i_1 = 1 pivot children.
 
     Each child's key is probed here, and the child's vectors are built only
     on a miss. The companion side of the enumeration depends only on the
     sorted companions and need, and the pivot's child is the same for every
     child, so a child's key is its struck companion ids with the pivot
-    child's id put in place. The first sight of (companions, need)
+    child's id put in place. While the returns to (companions, need) pairs
+    number at most half the pairs held, the first sight of a pair
     enumerates with that id among the starting ids and leaves a marker in
-    cache.pivots; the second keeps the companion side there, and later ones
-    reuse it.
+    cache.pivots, and the second keeps the companion side there; beyond
+    that, the first sight keeps it at once. Later sights reuse it.
     """
     first = vectors[0]
     need = (2 * half - 1) * n - first[-1]
@@ -408,14 +414,18 @@ def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache,
     size = len(pivots)
     pivot_key = (rest, need)
     kept = pivots.setdefault(pivot_key, None)
-    if len(pivots) > size:
+    if len(pivots) == size:
+        cache.returns += 1
+    elif 2 * cache.returns <= size:
+        # few pairs come back so far: enumerate once with the pivot child's
+        # id and leave the marker
         for child_key, (coeff, chain) in _pivot_children(rest, need, pivot_ids).items():
             if not coeff:
                 continue
             sub = get(child_key)
             if sub is None:
                 child = (child_first,) + _child_vectors(chain)
-                sub = _evaluate(child, child_key, cache, factorize)
+                sub = _evaluate(child, child_key, cache)
             if sub:
                 value += coeff * sub
         return value
@@ -429,7 +439,7 @@ def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache,
         sub = get(child_key)
         if sub is None:
             child = (child_first,) + kept[mid : mid + width]
-            sub = _evaluate(child, child_key, cache, factorize)
+            sub = _evaluate(child, child_key, cache)
         if sub:
             value += kept[mid + width] * sub
     return value
@@ -437,12 +447,25 @@ def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache,
 
 def _lookup(vectors: tuple[IntVec, ...], cache: MemoCache, factorize: bool) -> int:
     """Value of a spec of the right weight: 1 below dimension 2, else from
-    the memo or evaluated into it."""
+    the memo or evaluated into it. Only here is the block split tried: on the
+    spec evaluate is given and on the blocks of its splits, never on a pivot
+    child."""
     if len(vectors[0]) < 2:
         return 1
     key = _memo_key(vectors)
     value = cache.get(key)
-    return _evaluate(vectors, key, cache, factorize) if value is None else value
+    if value is not None:
+        return value
+    if factorize:
+        vectors = _widest_first(vectors)
+        found = _split(vectors, len(vectors) // 2, len(vectors[0]))
+        if found is not None:
+            left, right, sign = found
+            lval = _lookup(left, cache, factorize)
+            value = sign * lval * _lookup(right, cache, factorize) if lval else 0
+            cache.put(key, value)
+            return value
+    return _evaluate(vectors, key, cache)
 
 
 def evaluate(

@@ -1,8 +1,9 @@
+import concurrent.futures
 import random
 
 import pytest
 
-from vanschur import coefficients
+from vanschur import coefficients, delta_engine
 from vanschur.coefficients import (
     SchurExpansion,
     count_vanishing,
@@ -79,7 +80,7 @@ def test_workers_are_capped_by_the_cpu_count(monkeypatch, cpus):
             raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     assert list(expand(4, 1, workers=50000)) == list(expand(4, 1))
 
 
@@ -128,7 +129,7 @@ def test_each_complement_class_is_evaluated_once(monkeypatch, workers):
 
     monkeypatch.setattr(coefficients, "g_coefficient", recording)
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(coefficients, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     values = g_coefficients(lams, n, k, workers)
     distinct = list(dict.fromkeys(min(lam, complement(lam, n, k)) for lam in lams))
     # stripe j of W takes distinct members j, j+W, ...
@@ -138,7 +139,7 @@ def test_each_complement_class_is_evaluated_once(monkeypatch, workers):
 
 @pytest.mark.parametrize(
     "n, k, misses, hits",
-    [(6, 1, 661, 1242), (7, 1, 4180, 11935), (5, 2, 1477, 7375), (4, 3, 440, 1452)],
+    [(6, 1, 661, 1246), (7, 1, 4181, 11972), (5, 2, 1477, 7384), (4, 3, 440, 1452)],
 )
 def test_memo_traffic_of_g_coefficients_is_pinned(monkeypatch, n, k, misses, hits):
     # the smaller members of a table share far more of their subproblems
@@ -153,6 +154,39 @@ def test_memo_traffic_of_g_coefficients_is_pinned(monkeypatch, n, k, misses, hit
     monkeypatch.setattr(coefficients, "MemoCache", Recorded)
     g_coefficients(list(enumerate_admissible(n, k)), n, k)
     assert [(c.misses, c.hits, len(c)) for c in caches] == [(misses, hits, misses)]
+
+
+@pytest.mark.parametrize(
+    "lams, n, k, calls, first_sights, markers",
+    [
+        (None, 7, 1, 1008, 1004, 7),
+        ([(10, 10, 10, 10, 10, 10)], 6, 2, 1180, 1175, 1175),
+    ],
+)
+def test_pivot_enumerations_of_g_coefficients_are_pinned(
+    monkeypatch, lams, n, k, calls, first_sights, markers
+):
+    # a first sight of (companions, need) that leaves a marker enumerates
+    # with the pivot child's id, and a second sight keeps the companion side;
+    # once most sights are returns, a first sight keeps it at once, and such
+    # a pair is never enumerated again. A cold coefficient stays on markers.
+    enumerations: dict = {}
+
+    def recording(rest, need, ids):
+        if len(rest[0]) > 2:
+            enumerations.setdefault((rest, need), []).append(bool(ids))
+        return pivot_children(rest, need, ids)
+
+    pivot_children = delta_engine._pivot_children
+    monkeypatch.setattr(delta_engine, "_pivot_children", recording)
+    if lams is None:
+        lams = list(enumerate_admissible(n, k))
+    g_coefficients(lams, n, k)
+    runs = list(enumerations.values())
+    assert (sum(map(len, runs)), len(runs), sum(run[0] for run in runs)) == (
+        calls, first_sights, markers
+    )
+    assert all(run in ([True], [False], [True, False]) for run in runs)
 
 
 def loop_outcome(lams, n, k):

@@ -15,7 +15,7 @@ from conftest import (
 )
 from reference import canonical_key, child_spec, iter_subspecs, pivot_tuples
 from vanschur import delta_engine
-from vanschur.coefficients import g_coefficient
+from vanschur.coefficients import g_coefficient, g_coefficients
 from vanschur.delta_engine import (
     DeltaSpec,
     MemoCache,
@@ -144,13 +144,13 @@ def probed_children(pivoted, half, n, cache, monkeypatch):
     2**64, so the signed sum _pivot_sum returns spells out every count."""
     seen = []
 
-    def record(child, child_key, cache, factorize):
+    def record(child, child_key, cache):
         seen.append((child_key, child))
         return 1 << (64 * len(seen))
 
     with monkeypatch.context() as patch:
         patch.setattr(delta_engine, "_evaluate", record)
-        total = _pivot_sum(pivoted, half, n, cache, True) >> 64
+        total = _pivot_sum(pivoted, half, n, cache) >> 64
     children = []
     for child_key, child in seen:
         count = total & ((1 << 64) - 1)
@@ -497,7 +497,7 @@ def test_shared_cache_across_specs_is_consistent():
 
 @pytest.mark.parametrize(
     "n, k, misses, hits",
-    [(7, 1, 10178, 30684), (5, 2, 3305, 17259), (4, 3, 776, 2702)],
+    [(7, 1, 10180, 30882), (5, 2, 3306, 17395), (4, 3, 776, 2730)],
 )
 def test_memo_traffic_of_a_table_is_pinned(n, k, misses, hits):
     # one MemoCache per table; a change to the key or to the representative
@@ -509,20 +509,22 @@ def test_memo_traffic_of_a_table_is_pinned(n, k, misses, hits):
     assert len(cache) == misses
 
 
-@pytest.mark.parametrize(
-    "lam, n, k, value, misses, hits",
-    [
-        ((11, 10, 8, 7, 3, 3, 0), 7, 1, 36, 6, 0),
-        ((6, 6, 6, 6, 6, 6, 6), 7, 1, -135135, 412, 1328),
-        ((15, 15, 14, 7, 5, 4), 6, 2, 337125, 48, 124),
-        ((10, 10, 10, 10, 10, 10), 6, 2, 190590400, 1263, 20557),
-        ((21, 17, 11, 8, 3), 5, 3, 512442, 24, 63),
-        ((15, 12, 11, 11, 11), 5, 3, -1182835500, 280, 5148),
-    ],
-)
+# cheap and costly partitions of three cells, with their values and the memo
+# traffic of a cold evaluation
+COLD_COEFFICIENTS = [
+    ((11, 10, 8, 7, 3, 3, 0), 7, 1, 36, 6, 0),
+    ((6, 6, 6, 6, 6, 6, 6), 7, 1, -135135, 412, 1328),
+    ((15, 15, 14, 7, 5, 4), 6, 2, 337125, 48, 124),
+    ((10, 10, 10, 10, 10, 10), 6, 2, 190590400, 1263, 20557),
+    ((21, 17, 11, 8, 3), 5, 3, 512442, 24, 63),
+    ((15, 12, 11, 11, 11), 5, 3, -1182835500, 280, 5148),
+]
+
+
+@pytest.mark.parametrize("lam, n, k, value, misses, hits", COLD_COEFFICIENTS)
 def test_memo_traffic_of_a_cold_coefficient_is_pinned(lam, n, k, value, misses, hits):
     # a fresh MemoCache per coefficient, as a one-off `vanschur coeff` uses
-    # it; cheap and costly partitions of three cells
+    # it
     cache = MemoCache()
     assert g_coefficient(lam, n, k, cache) == value
     assert (cache.misses, cache.hits) == (misses, hits)
@@ -532,18 +534,38 @@ def test_memo_traffic_of_a_cold_coefficient_is_pinned(lam, n, k, value, misses, 
 @pytest.mark.parametrize(
     "lams, n, k, kept, seen",
     [
-        (None, 7, 1, 1073, 1233),
+        (None, 7, 1, 1380, 1383),
         ([(10, 10, 10, 10, 10, 10)], 6, 2, 5, 1175),
     ],
 )
 def test_kept_companion_results_are_pinned(lams, n, k, kept, seen):
-    # a table comes back to most (companions, need) it sees, a cold
-    # coefficient to few; only those that come back are kept
+    # a table comes back to most (companions, need) it sees, so it soon
+    # keeps a pair's companion side on its first sight; a cold coefficient
+    # comes back to few, and keeps only those that come back
     cache = MemoCache()
     for lam in enumerate_admissible(n, k) if lams is None else lams:
         g_coefficient(lam, n, k, cache)
     assert len(cache.pivots) == seen
     assert sum(v is not None for v in cache.pivots.values()) == kept
+
+
+def test_split_sees_only_coefficient_shaped_specs(monkeypatch):
+    # the block split is tried on the spec evaluate is given and on the
+    # blocks of its splits, never on a pivot child: every spec it sees has
+    # all-zero companions, as a coefficient's spec does
+    seen = []
+
+    def recording(vectors, half, n):
+        seen.append(vectors)
+        return _split(vectors, half, n)
+
+    monkeypatch.setattr(delta_engine, "_split", recording)
+    for n, k in ((6, 1), (5, 2)):
+        g_coefficients(list(enumerate_admissible(n, k)), n, k)
+    for lam, n, k, value, _, _ in COLD_COEFFICIENTS:
+        assert g_coefficient(lam, n, k, MemoCache()) == value
+    assert len(seen) > 500
+    assert all(not any(map(any, vectors[1:])) for vectors in seen)
 
 
 def test_slot_ids_stay_distinct_under_threads():
