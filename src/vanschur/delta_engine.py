@@ -19,17 +19,19 @@ trying it at all would raise them to 36,667.
 
 The weight (K-1)n(n-1) is checked once, on the spec `evaluate` is given:
 the pivot children and the split blocks of a spec of that weight have it
-too. The memo key of a spec is the sorted tuple of its slot ids. A slot
-vector is one of the spec's 2K vectors; each distinct one, shifted to end
-in 0, is interned once per process as a small int id. The ids fix each
-vector up to its shift, and the weight fixes the sum of the shifts, so the
-key needs no total shift. The group tables carry the ids of the vectors
-they strike, so the pivot enumeration builds each child's key from ints,
-once. `_pivot_sum` probes the memo with each child's key in its own loop and
-recurses only on a miss; a child's vectors are built only then, from the
-group rows its enumeration chose. The id table and the group tables are
-process-wide and unbounded: the (8,1) table interns about 11,000 slot
-vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2) about 1,800.
+too. A slot vector is one of the spec's 2K vectors; each distinct one,
+shifted to end in 0, is interned once per process as a prime, the i-th new
+vector taking the i-th prime. The memo key of a spec is the product of its
+slot primes, which by unique factorization fixes the multiset of its slots
+as a sorted tuple of ids would, with no sort. The primes fix each vector up
+to its shift, and the weight fixes the sum of the shifts, so the key needs
+no total shift. Each group-table row carries the product of the primes it
+strikes, so the pivot enumeration builds each child's key with one multiply
+per group. `_pivot_sum` probes the memo with each child's key in its own
+loop and recurses only on a miss; a child's vectors are built only then,
+from the group rows its enumeration chose. The prime table and the group
+tables are process-wide and unbounded: the (8,1) table interns 6,406 slot
+vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2) 1,811.
 
 The children of one pivot differ only in what the companions, the vectors
 other than the pivot, strike; the pivot's own child is the same for all of
@@ -39,23 +41,25 @@ the pair, for as long as the memo lives. A table comes back to most pairs
 (79% of the (8,1) table's sights of a pair are returns to one it holds), a
 cold coefficient to few (6% over the benchmark's 480 pooled ones), so the
 memo chooses from what it has seen. While its returns number at most half
-the pairs it holds, a pair's first sight enumerates with the pivot child's
-id among the starting ids and leaves a marker, and the second keeps, in one
-flat tuple, each distinct child's struck slot ids, struck vectors and signed
+the pairs it holds, a pair's first sight enumerates from the pivot child's
+prime and leaves a marker, and the second keeps, in one flat tuple, each
+distinct child's product of struck slot primes, struck vectors and signed
 count. Beyond that line a first sight keeps that tuple at once, so no pair
-is enumerated twice. A later sight puts the pivot child's id among each
-child's ids to get its memo key, so keys, their order, the vectors each key
-is evaluated on and the memo counts are those of a fresh enumeration.
+is enumerated twice. A later sight multiplies each child's product by the
+pivot child's prime to get its memo key, so keys, their order, the vectors
+each key is evaluated on and the memo counts are those of a fresh
+enumeration.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import factorial
-from typing import Sequence
+from math import factorial, isqrt, prod
+from typing import Iterator, Sequence
 
 from .hyperdet import DenseTensor, hankel_tensor
 from .partitions import IntVec, as_decreasing
@@ -149,28 +153,50 @@ def weight_ok(spec: DeltaSpec) -> bool:
     return sum(map(sum, spec.vectors)) == (spec.half - 1) * n * (n - 1)
 
 
-# Slot vectors shifted to end in 0, each mapped to its id. Ids are assigned
-# in order of first use, so they differ between processes; keys never leave
-# the process that built them. They come from a counter rather than the
-# table's size, so threads interning at once never share an id.
+def _primes() -> Iterator[int]:
+    """The primes in increasing order, sieved one block of integers at a time.
+    A block is an eighth of the integers below it, and at least 4096; only
+    its sieve is held, never the primes given out."""
+    lo = 2
+    while True:
+        hi = lo + max(1 << 12, lo >> 3)
+        sieve = bytearray([1]) * (hi - lo)
+        for p in range(2, isqrt(hi - 1) + 1):
+            start = max(p * p, -(-lo // p) * p)
+            sieve[start - lo :: p] = bytes(len(range(start, hi, p)))
+        yield from itertools.compress(range(lo, hi), sieve)
+        lo = hi
+
+
+# Slot vectors shifted to end in 0, each mapped to its prime. The i-th new
+# vector gets the i-th prime, so primes differ between processes; keys never
+# leave the process that built them. A prime is taken under the lock and only
+# for a vector not yet in the table, so threads interning at once never share
+# one and none is skipped.
 _SLOT_IDS: dict[IntVec, int] = {}
-_NEXT_SLOT_ID = itertools.count()
+_NEW_SLOT_IDS = _primes()
+_SLOT_LOCK = threading.Lock()
 
 
 @functools.cache
 def _slot(v: IntVec) -> int:
-    """Id of one slot vector, standing for v shifted to end in 0."""
+    """Prime of one slot vector, standing for v shifted to end in 0."""
     off = v[-1] if v else 0
     norm = tuple(x - off for x in v) if off else v
-    return _SLOT_IDS.setdefault(norm, next(_NEXT_SLOT_ID))
+    with _SLOT_LOCK:
+        prime = _SLOT_IDS.get(norm)
+        if prime is None:
+            prime = _SLOT_IDS[norm] = next(_NEW_SLOT_IDS)
+    return prime
 
 
-def _memo_key(vectors: tuple[IntVec, ...]) -> tuple[int, ...]:
+def _memo_key(vectors: tuple[IntVec, ...]) -> int:
     """Quotient of a spec of the right weight by vector permutations and
-    zero-sum entry shifts: its sorted slot ids. The ids fix each vector up
+    zero-sum entry shifts: the product of its slot primes, which fixes the
+    multiset of slots by unique factorization. The primes fix each vector up
     to its offset, and the weight fixes the sum of the offsets, so no total
     shift needs to be kept."""
-    return tuple(sorted(map(_slot, vectors)))
+    return prod(map(_slot, vectors))
 
 
 def _split(vectors: tuple[IntVec, ...], half: int, n: int):
@@ -222,10 +248,10 @@ def _group_table(v: IntVec, count: int):
     child_vectors, child_ids) where value_sum adds v[n-i+1] + i over the
     multiset, signed_count is its number of arrangements times
     (-1)^(index sum), child_vectors are the struck slot vectors and
-    child_ids their slot ids. sums lists the rows' value sums, and by_sum
-    maps a value sum to its rows in table order. Tables depend on (v, count)
-    alone, so they are kept for the whole process and shared by every
-    MemoCache.
+    child_ids the product of their slot primes. sums lists the rows' value
+    sums, and by_sum maps a value sum to its rows in table order. Tables
+    depend on (v, count) alone, so they are kept for the whole process and
+    shared by every MemoCache.
     """
     n = len(v)
     taus = [0] * (n + 1)
@@ -247,7 +273,7 @@ def _group_table(v: IntVec, count: int):
             tau,
             -arr if isum & 1 else arr,
             struck,
-            tuple(map(_slot, struck)),
+            prod(map(_slot, struck)),
         ))
     rows.sort(key=lambda r: r[0])
     by_sum: dict[int, list] = {}
@@ -258,10 +284,10 @@ def _group_table(v: IntVec, count: int):
 
 # (sums, rows) of a group that strikes nothing: stands in for the
 # second-to-last group when all companion vectors are equal
-_LONE_GROUP = ([0], [(0, 1, (), ())])
+_LONE_GROUP = ([0], [(0, 1, (), 1)])
 
 
-def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: tuple[int, ...]):
+def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
     """Distinct children of the i_1 = 1 pivot with signed multiplicities, as
     far as the companions decide them.
 
@@ -271,14 +297,14 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: tuple[int, ...]):
     companion vectors and enumerates index multisets group by group, keeping
     only partial choices whose remaining groups can still meet need; the
     last two groups are matched together, by a lookup of what is left in the
-    last group's value sums. Each child's key is the sorted tuple of ids and
-    the struck companions' slot ids, built from the ids the group tables
-    carry; children that share a key are merged. Returns a dict from each
-    key to [signed_count, chain], in order of first appearance; the count
-    includes the pivot's sign and may be 0. The chain stands for the first
-    child seen with that key, in lexicographic order of the groups' rows:
-    nested (earlier, struck_vectors) pairs that _child_vectors turns into
-    the struck companions, in group order.
+    last group's value sums. Each child's key is ids, a product of slot
+    primes, times the struck companions' primes, multiplied from the
+    products the group tables carry; children that share a key are merged.
+    Returns a dict from each key to [signed_count, chain], in order of first
+    appearance; the count includes the pivot's sign and may be 0. The chain
+    stands for the first child seen with that key, in lexicographic order of
+    the groups' rows: nested (earlier, struck_vectors) pairs that
+    _child_vectors turns into the struck companions, in group order.
     """
     groups: list[tuple[IntVec, int]] = []
     for v in rest:
@@ -307,7 +333,7 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: tuple[int, ...]):
             lo = bisect_left(sums, left - above)
             hi = bisect_right(sums, left - below)
             for tau, arr, kids, kid_ids in rows[lo:hi]:
-                grown.append((left - tau, mult * arr, (chain, kids), ids + kid_ids))
+                grown.append((left - tau, mult * arr, (chain, kids), ids * kid_ids))
         partial = grown
 
     # the last group's value sum must meet what the second-to-last leaves
@@ -324,9 +350,9 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: tuple[int, ...]):
             if ends is None:
                 continue
             mid_mult = mult * arr
-            mid_ids = ids + kid_ids
+            mid_ids = ids * kid_ids
             for _, end_arr, end_kids, end_ids in ends:
-                key = tuple(sorted(mid_ids + end_ids))
+                key = mid_ids * end_ids
                 coeff = mid_mult * end_arr
                 slot = acc.get(key)
                 if slot is None:
@@ -339,12 +365,12 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: tuple[int, ...]):
 def _kept_children(rest: tuple[IntVec, ...], need: int) -> tuple:
     """The companion side of a pivot enumeration in the flat form the
     MemoCache keeps: for each child with a nonzero count, in order of first
-    appearance, its sorted struck slot ids, its struck vectors and its signed
-    count, all in one tuple."""
+    appearance, the product of its struck slot primes, its struck vectors and
+    its signed count, all in one tuple."""
     flat = []
-    for ids, (coeff, chain) in _pivot_children(rest, need, ()).items():
+    for ids, (coeff, chain) in _pivot_children(rest, need, 1).items():
         if coeff:
-            flat += ids
+            flat.append(ids)
             flat += _child_vectors(chain)
             flat.append(coeff)
     return tuple(flat)
@@ -389,23 +415,22 @@ def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache)
     Each child's key is probed here, and the child's vectors are built only
     on a miss. The companion side of the enumeration depends only on the
     sorted companions and need, and the pivot's child is the same for every
-    child, so a child's key is its struck companion ids with the pivot
-    child's id put in place. While the returns to (companions, need) pairs
-    number at most half the pairs held, the first sight of a pair
-    enumerates with that id among the starting ids and leaves a marker in
-    cache.pivots, and the second keeps the companion side there; beyond
-    that, the first sight keeps it at once. Later sights reuse it.
+    child, so a child's key is the product of its struck companion primes
+    times the pivot child's prime. While the returns to (companions, need)
+    pairs number at most half the pairs held, the first sight of a pair
+    enumerates from that prime and leaves a marker in cache.pivots, and the
+    second keeps the companion side there; beyond that, the first sight
+    keeps it at once. Later sights reuse it.
     """
     first = vectors[0]
     need = (2 * half - 1) * n - first[-1]
     rest = tuple(sorted(vectors[1:]))
     if n == 2:
         # children of dimension 1 are worth 1 and never touch the memo
-        return sum(coeff for coeff, _ in _pivot_children(rest, need, ()).values())
+        return sum(coeff for coeff, _ in _pivot_children(rest, need, 1).values())
     drop = 2 * (half - 1)
     child_first = tuple([x - drop for x in first[:-1]])
     pivot_id = _slot(child_first)
-    pivot_ids = (pivot_id,)
     get = cache.get
     value = 0
     # one hash of the companion key: setdefault leaves the marker on a first
@@ -419,7 +444,7 @@ def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache)
     elif 2 * cache.returns <= size:
         # few pairs come back so far: enumerate once with the pivot child's
         # id and leave the marker
-        for child_key, (coeff, chain) in _pivot_children(rest, need, pivot_ids).items():
+        for child_key, (coeff, chain) in _pivot_children(rest, need, pivot_id).items():
             if not coeff:
                 continue
             sub = get(child_key)
@@ -432,16 +457,14 @@ def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache)
     if kept is None:
         kept = pivots[pivot_key] = _kept_children(rest, need)
     width = len(rest)
-    for at in range(0, len(kept), 2 * width + 1):
-        mid = at + width
-        cut = bisect_left(kept, pivot_id, at, mid)
-        child_key = kept[at:cut] + pivot_ids + kept[cut:mid]
+    for at in range(0, len(kept), width + 2):
+        child_key = kept[at] * pivot_id
         sub = get(child_key)
         if sub is None:
-            child = (child_first,) + kept[mid : mid + width]
+            child = (child_first,) + kept[at + 1 : at + 1 + width]
             sub = _evaluate(child, child_key, cache)
         if sub:
-            value += kept[mid + width] * sub
+            value += kept[at + 1 + width] * sub
     return value
 
 

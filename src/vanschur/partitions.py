@@ -8,6 +8,7 @@ explicit trailing zeros up to length n.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -17,8 +18,8 @@ IntVec = tuple[int, ...]
 
 def as_decreasing(entries: Iterable[int]) -> IntVec:
     """Validate and freeze a weakly decreasing integer vector."""
-    v = tuple(int(x) for x in entries)
-    if any(v[i] < v[i + 1] for i in range(len(v) - 1)):
+    v = tuple(map(int, entries))
+    if not all(map(operator.ge, v, v[1:])):
         raise ValueError(f"not weakly decreasing: {list(v)}")
     return v
 

@@ -167,14 +167,15 @@ def test_pivot_enumerations_of_g_coefficients_are_pinned(
     monkeypatch, lams, n, k, calls, first_sights, markers
 ):
     # a first sight of (companions, need) that leaves a marker enumerates
-    # with the pivot child's id, and a second sight keeps the companion side;
-    # once most sights are returns, a first sight keeps it at once, and such
-    # a pair is never enumerated again. A cold coefficient stays on markers.
+    # from the pivot child's prime (ids != 1), and a second sight keeps the
+    # companion side; once most sights are returns, a first sight keeps it
+    # at once, and such a pair is never enumerated again. A cold coefficient
+    # stays on markers.
     enumerations: dict = {}
 
     def recording(rest, need, ids):
         if len(rest[0]) > 2:
-            enumerations.setdefault((rest, need), []).append(bool(ids))
+            enumerations.setdefault((rest, need), []).append(ids != 1)
         return pivot_children(rest, need, ids)
 
     pivot_children = delta_engine._pivot_children

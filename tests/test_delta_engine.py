@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -123,7 +124,7 @@ def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
             first, rest = pivoted[0], tuple(sorted(pivoted[1:]))
             head = pivot_child_first(first, sub.half)
             need = (2 * sub.half - 1) * sub.n - first[-1]
-            for _, chain in _pivot_children(rest, need, (_slot(head),)).values():
+            for _, chain in _pivot_children(rest, need, _slot(head)).values():
                 child = (head,) + _child_vectors(chain)
                 if child not in checked:
                     assert weight_ok(DeltaSpec(child))
@@ -568,9 +569,13 @@ def test_split_sees_only_coefficient_shaped_specs(monkeypatch):
     assert all(not any(map(any, vectors[1:])) for vectors in seen)
 
 
+def is_prime(m):
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
 def test_slot_ids_stay_distinct_under_threads():
     # the slot-id table is process-wide: vectors interned by concurrent
-    # threads must still get one id each
+    # threads must still get one distinct prime each
     def intern(head):
         return [((head, j, 0), _slot((head, j, 0))) for j in range(300)]
 
@@ -584,3 +589,28 @@ def test_slot_ids_stay_distinct_under_threads():
         sys.setswitchinterval(old)
     assert len({vec for vec, _ in interned}) == len({i for _, i in interned}) == 8 * 300
     assert all(_slot(vec) == slot_id for vec, slot_id in interned)
+    assert all(is_prime(slot_id) for _, slot_id in interned)
+
+
+def test_shifted_copies_take_no_new_slot_id():
+    # a shifted copy of an interned vector is a functools.cache miss of
+    # _slot but no new slot: the next new vector must take the next prime
+    base = _slot((3 * 10**6, 5, 0))
+    assert _slot((3 * 10**6 + 7, 12, 7)) == base
+    assert _slot((3 * 10**6 - 2, 3, -2)) == base
+    fresh = _slot((3 * 10**6 + 1, 5, 0))
+    assert is_prime(base) and is_prime(fresh)
+    assert fresh > base and not any(map(is_prime, range(base + 1, fresh)))
+
+
+def test_slot_ids_are_the_first_primes():
+    # the i-th vector interned in the process gets the i-th prime, none
+    # skipped: every prime up to the largest one handed out is in use
+    g_coefficients(list(enumerate_admissible(5, 2)), 5, 2)
+    ids = sorted(delta_engine._SLOT_IDS.values())
+    assert len(ids) > 100
+    sieve = [False, False] + [True] * (ids[-1] - 1)
+    for m in range(2, math.isqrt(ids[-1]) + 1):
+        if sieve[m]:
+            sieve[m * m :: m] = [False] * len(range(m * m, ids[-1] + 1, m))
+    assert ids == [m for m, prime in enumerate(sieve) if prime]
