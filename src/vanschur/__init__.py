@@ -3,76 +3,59 @@
 Each coefficient is the hyperdeterminant of a sparse Kronecker-delta tensor,
 evaluated independently by a generalized Laplace recursion; a brute-force
 symbolic expansion serves as ground truth.
+
+The public names resolve on first use (PEP 562), so importing the package, or
+one of its modules, loads no other module: `vanschur merge` never loads the
+dense oracles.
 """
 
-from .coefficients import (
-    SchurExpansion,
-    count_vanishing,
-    expand,
-    factorize_g,
-    g_coefficient,
-    g_coefficients,
-)
-from .delta_engine import (
-    DeltaSpec,
-    MemoCache,
-    evaluate,
-    materialize,
-    weight_ok,
-)
-from .hyperdet import (
-    BudgetError,
-    DenseTensor,
-    det_direct,
-    hankel_tensor,
-    laplace_expand,
-    laplace_sign,
-    minor,
-)
-from .oracle import (
-    DiscreteMeasure,
-    FunctionTable,
-    heine_lhs,
-    heine_rhs,
-    schur_expansion_bruteforce,
-    vandermonde_power,
-)
-from .partitions import (
-    AdmissibleBounds,
-    dominates,
-    enumerate_admissible,
-    is_admissible,
-)
+import importlib
 
-__all__ = [
-    "AdmissibleBounds",
-    "BudgetError",
-    "DeltaSpec",
-    "DenseTensor",
-    "DiscreteMeasure",
-    "FunctionTable",
-    "MemoCache",
-    "SchurExpansion",
-    "count_vanishing",
-    "det_direct",
-    "dominates",
-    "enumerate_admissible",
-    "evaluate",
-    "expand",
-    "factorize_g",
-    "g_coefficient",
-    "g_coefficients",
-    "hankel_tensor",
-    "heine_lhs",
-    "heine_rhs",
-    "is_admissible",
-    "laplace_expand",
-    "laplace_sign",
-    "materialize",
-    "minor",
-    "schur_expansion_bruteforce",
-    "vandermonde_power",
-    "weight_ok",
-]
+# each public name and the module that defines it
+_HOMES = {
+    "SchurExpansion": "coefficients",
+    "count_vanishing": "coefficients",
+    "expand": "coefficients",
+    "factorize_g": "coefficients",
+    "g_coefficient": "coefficients",
+    "g_coefficients": "coefficients",
+    "DeltaSpec": "delta_engine",
+    "MemoCache": "delta_engine",
+    "evaluate": "delta_engine",
+    "materialize": "delta_engine",
+    "weight_ok": "delta_engine",
+    "BudgetError": "hyperdet",
+    "DenseTensor": "hyperdet",
+    "det_direct": "hyperdet",
+    "hankel_tensor": "hyperdet",
+    "laplace_expand": "hyperdet",
+    "laplace_sign": "hyperdet",
+    "minor": "hyperdet",
+    "DiscreteMeasure": "oracle",
+    "FunctionTable": "oracle",
+    "heine_lhs": "oracle",
+    "heine_rhs": "oracle",
+    "schur_expansion_bruteforce": "oracle",
+    "vandermonde_power": "oracle",
+    "AdmissibleBounds": "partitions",
+    "dominates": "partitions",
+    "enumerate_admissible": "partitions",
+    "is_admissible": "partitions",
+}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

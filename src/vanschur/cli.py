@@ -3,6 +3,9 @@ verification, and deterministic file-based sharding.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure,
 141 (128 + SIGPIPE) when the reader of the output closes it early.
+
+Each command imports what it uses when it runs: `admissible` and `merge` load
+neither the engine nor the dense oracles, and only `verify` loads the oracles.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .coefficients import expand, g_coefficient, g_coefficients
-from .hyperdet import BudgetError
 from .partitions import count_admissible, enumerate_admissible, is_admissible
 from .records import (
     ResultRecord,
@@ -102,6 +103,8 @@ def cmd_coeff(args) -> int:
         )
         coeff = 0
     else:
+        from .coefficients import g_coefficient
+
         coeff = g_coefficient(lam, args.n, args.k)
     record = ResultRecord(n=args.n, k=args.k, lam=lam, coeff=coeff)
     print(record_to_jsonl(record))
@@ -109,6 +112,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .coefficients import expand
+
     with _output(args.out) as out:
         exp = expand(args.n, args.k, workers=args.jobs)
         records = (ResultRecord(n=args.n, k=args.k, lam=lam, coeff=g) for lam, g in exp)
@@ -126,10 +131,16 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .coefficients import expand
+    from .hyperdet import BudgetError
     from .oracle import schur_expansion_bruteforce
 
     # the oracle refuses over-budget cells up front, before the engine runs
-    reference = schur_expansion_bruteforce(args.n, args.k)
+    try:
+        reference = schur_expansion_bruteforce(args.n, args.k)
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     engine = expand(args.n, args.k, workers=args.jobs)
     if list(engine.terms) != list(reference.terms):
         print("mismatch: partition enumerations differ", file=sys.stderr)
@@ -155,6 +166,8 @@ def cmd_shard(args) -> int:
             f"error: index {args.index} outside 0..{args.shards - 1}", file=sys.stderr
         )
         return USAGE_EXIT
+    from .coefficients import g_coefficients
+
     lams = list(enumerate_admissible(args.n, args.k))
     mine = lams[args.index :: args.shards]
     manifest = ShardManifest(
@@ -363,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return PIPE_EXIT
-    except (ValueError, OSError, BudgetError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -59,10 +59,12 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import factorial, isqrt, prod
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .hyperdet import DenseTensor, hankel_tensor
 from .partitions import IntVec, as_decreasing
+
+if TYPE_CHECKING:
+    from .hyperdet import DenseTensor
 
 DEFAULT_MATERIALIZE_LIMIT = 1 << 21
 
@@ -512,6 +514,8 @@ def materialize(
     spec: DeltaSpec, limit: int = DEFAULT_MATERIALIZE_LIMIT
 ) -> DenseTensor:
     """Explicit 0/1 tensor of the spec (guarded: n^2K entries)."""
+    from .hyperdet import hankel_tensor
+
     n = spec.n
     if n ** spec.order > limit:
         raise ValueError(

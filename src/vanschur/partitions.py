@@ -126,25 +126,49 @@ def enumerate_admissible(n: int, k: int) -> Iterator[IntVec]:
     Depth-first generation of weakly decreasing nonnegative vectors with the
     prefix sums pinned inside the dominance interval at every position, so the
     interval is pruned directly instead of filtering all partitions of the
-    weight.
+    weight. One generator walks the tree with an explicit stack of the first
+    n-2 parts; the next-to-last part runs over its range in one loop, and the
+    last part is what the weight leaves, which always fits: the bounds on the
+    next-to-last part keep it between 0 and that part.
     """
     lo, up = _prefix_bounds(n, k)
     w = up[-1]
-    out = [0] * n
-
-    def rec(idx: int, s: int, prev: int) -> Iterator[IntVec]:
-        if idx == n:
-            yield tuple(out)
+    if n == 1:
+        yield (w,)
+        return
+    pen = n - 2
+    parts = [0] * pen
+    floor = [0] * pen  # the smallest value each stacked part may take
+    before = [0] * pen  # the sum of the parts before it
+    i, s, prev = 0, 0, up[0]
+    while True:
+        # descend, giving each part its largest value
+        while i < pen:
+            left = w - s
+            hi = min(prev, up[i] - s, left)
+            # every later part is <= v, so v*(n-i) must cover the leftover weight
+            lb = max(lo[i] - s, 0, -(-left // (n - i)))
+            if hi < lb:
+                break
+            parts[i] = prev = hi
+            floor[i] = lb
+            before[i] = s
+            s += hi
+            i += 1
+        else:
+            left = w - s
+            head = tuple(parts)
+            for v in range(min(prev, left), max(lo[pen] - s, -(-left // 2)) - 1, -1):
+                yield head + (v, left - v)
+        # back up to the deepest part that can still shrink
+        i -= 1
+        while i >= 0 and parts[i] == floor[i]:
+            i -= 1
+        if i < 0:
             return
-        left = w - s
-        hi = min(prev, up[idx] - s, left)
-        # every later part is <= v, so v*(n-idx) must cover the leftover weight
-        lb = max(lo[idx] - s, 0, -(-left // (n - idx)))
-        for v in range(hi, lb - 1, -1):
-            out[idx] = v
-            yield from rec(idx + 1, s + v, v)
-
-    yield from rec(0, 0, 2 * k * (n - 1))
+        parts[i] = prev = parts[i] - 1
+        s = before[i] + prev
+        i += 1
 
 
 def count_admissible(n: int, k: int) -> int:

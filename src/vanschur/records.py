@@ -2,14 +2,22 @@
 
 Coefficients travel as decimal strings so values beyond 64 bits survive any
 consumer; both encodings are byte-deterministic for fixed inputs.
+
+A record line is formatted directly, from a template made once per number
+of parts: the JSONL one is laid out by json.dumps, so a line is the bytes
+json.dumps gives for a record of ints, without calling it per record. A JSONL
+line is read by one JSON decoder reused across lines, with exact type checks,
+and each record is built once: its partition is checked here, and the
+checking constructor runs only to refuse one that fails.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import re
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Iterator
 
 from .partitions import IntVec, as_partition, enumerate_admissible
@@ -18,6 +26,10 @@ from .partitions import IntVec, as_partition, enumerate_admissible
 # what record_to_jsonl writes for a coefficient and record_to_csv for every
 # field, and all that is read back: int() would also take "1_0", " 7", "+7"
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+_JSON = json.JSONDecoder()
+# the whitespace json.loads skips around a value
+_JSON_SPACE = " \t\n\r"
 
 
 @dataclass(frozen=True)
@@ -47,9 +59,41 @@ class ShardManifest:
             raise ValueError(f"shard index {self.index} outside 0..{self.shards - 1}")
 
 
+def _record(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
+    """ResultRecord(n=n, k=k, lam=lam, coeff=coeff) for a tuple of ints,
+    validating lam once: a partition of at most n parts is padded and stored
+    as it is, and anything else goes to the checking constructor, which
+    refuses it with as_partition's message."""
+    if len(lam) > n or (lam and lam[-1] < 0) or not all(map(ge, lam, lam[1:])):
+        return ResultRecord(n=n, k=k, lam=lam, coeff=coeff)
+    if len(lam) < n:
+        lam += (0,) * (n - len(lam))
+    record = object.__new__(ResultRecord)
+    object.__setattr__(record, "__dict__", {"n": n, "k": k, "lam": lam, "coeff": coeff})
+    return record
+
+
+# a table has one part count, so a small bound keeps every template in use
+@functools.lru_cache(maxsize=32)
+def _template(fmt: str, parts: int) -> str:
+    """%-template of one record line without its newline, for a record with
+    `parts` lambda parts, taking (n, k, *lam, coeff). The JSONL one is what
+    json.dumps writes for a record of zeros with an empty coefficient, each
+    value turned into a %s; no key holds a 0."""
+    if fmt == "jsonl":
+        zeros = {"n": 0, "k": 0, "lambda": [0] * parts, "coeff": ""}
+        return json.dumps(zeros, separators=(",", ":")).replace("0", "%s").replace('""', '"%s"')
+    if fmt == "csv":
+        return "%s,%s," + " ".join(["%s"] * parts) + ",%s"
+    raise KeyError(fmt)
+
+
+def _encode(r: ResultRecord, fmt: str) -> str:
+    return _template(fmt, len(r.lam)) % (r.n, r.k, *r.lam, r.coeff)
+
+
 def record_to_jsonl(r: ResultRecord) -> str:
-    payload = {"n": r.n, "k": r.k, "lambda": list(r.lam), "coeff": str(r.coeff)}
-    return json.dumps(payload, separators=(",", ":"))
+    return _encode(r, "jsonl")
 
 
 def _json_int(value, name: str) -> int:
@@ -59,46 +103,52 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_value(line: str):
+    """json.loads(line), refusing a value nested too deeply for the parser
+    with a ValueError instead of a RecursionError."""
+    text = line.strip(_JSON_SPACE)
+    try:
+        value, end = _JSON.raw_decode(text)
+    except RecursionError:
+        raise ValueError("JSON value nested too deeply") from None
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def record_from_jsonl(line: str) -> ResultRecord:
-    obj = json.loads(line)
+    """Decode one JSONL record, refusing the bools and floats that int()
+    would take and any coefficient that is not a decimal string."""
+    obj = _json_value(line)
     lam = obj["lambda"]
     if type(lam) is not list:
         raise ValueError(f"lambda must be a JSON list, got {lam!r}")
     coeff = obj["coeff"]
     if type(coeff) is not str or not _DECIMAL.fullmatch(coeff):
         raise ValueError(f"coeff must be a decimal integer string, got {coeff!r}")
-    return ResultRecord(
-        n=_json_int(obj["n"], "n"),
-        k=_json_int(obj["k"], "k"),
-        lam=tuple(_json_int(x, "lambda part") for x in lam),
-        coeff=int(coeff),
-    )
+    n = _json_int(obj["n"], "n")
+    k = _json_int(obj["k"], "k")
+    if not set(map(type, lam)) <= {int}:
+        raise ValueError(f"lambda parts must be JSON integers, got {lam!r}")
+    return _record(n, k, tuple(lam), int(coeff))
 
 
 def record_to_csv(r: ResultRecord) -> str:
-    return f"{r.n},{r.k},{' '.join(map(str, r.lam))},{r.coeff}"
-
-
-def _csv_int(text: str, name: str) -> int:
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
-    return int(text)
+    return _encode(r, "csv")
 
 
 def record_from_csv(line: str) -> ResultRecord:
     n, k, lam, coeff = line.rstrip("\n").split(",")
-    return ResultRecord(
-        n=_csv_int(n, "n"),
-        k=_csv_int(k, "k"),
-        lam=tuple(_csv_int(x, "lambda part") for x in lam.split(" ")),
-        coeff=_csv_int(coeff, "coeff"),
-    )
+    parts = lam.split(" ")
+    if not all(map(_DECIMAL.fullmatch, (n, k, coeff, *parts))):
+        raise ValueError(f"CSV fields must be decimal integers, got {line!r}")
+    return _record(int(n), int(k), tuple(map(int, parts)), int(coeff))
 
 
 def write_records(records: Iterable[ResultRecord], fmt: str) -> Iterator[str]:
-    encode = {"jsonl": record_to_jsonl, "csv": record_to_csv}[fmt]
+    _template(fmt, 0)  # an unknown format raises KeyError, records or not
     for r in records:
-        yield encode(r) + "\n"
+        yield _encode(r, fmt) + "\n"
 
 
 def read_records(lines: Iterable[str], fmt: str) -> Iterator[ResultRecord]:
@@ -110,13 +160,16 @@ def read_records(lines: Iterable[str], fmt: str) -> Iterator[ResultRecord]:
 
 
 def enumeration_checksum(n: int, k: int, lams: Iterable[IntVec] | None = None) -> str:
-    """Digest of the canonical admissible enumeration for (n, k), or of lams
-    in its place when they are given."""
-    h = hashlib.sha256()
-    h.update(f"{n} {k}\n".encode())
-    for lam in enumerate_admissible(n, k) if lams is None else lams:
-        h.update((" ".join(map(str, lam)) + "\n").encode())
-    return h.hexdigest()
+    """Digest of the canonical admissible enumeration for (n, k), or of lams,
+    tuples of n ints, in its place when they are given. The text hashed is
+    "n k" and then each partition's parts joined by spaces, one line each."""
+    # imported here: only shard and merge take a checksum
+    import hashlib
+
+    line = " ".join(["%s"] * n) + "\n"
+    lams = enumerate_admissible(n, k) if lams is None else lams
+    text = f"{n} {k}\n" + "".join([line % lam for lam in lams])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def manifest_to_jsonl(m: ShardManifest) -> str:
@@ -134,7 +187,7 @@ def manifest_to_jsonl(m: ShardManifest) -> str:
 
 
 def manifest_from_jsonl(line: str) -> ShardManifest:
-    obj = json.loads(line)
+    obj = _json_value(line)
     if "manifest" not in obj:
         raise ValueError("shard file does not start with a manifest line")
     m = obj["manifest"]

@@ -7,10 +7,20 @@ symmetry class the engine's memo key stands for, with the vectors themselves
 in place of interned slot ids. `det_direct_reference` is the p-fold
 permutation sum with the explicit 1/n! factor, without the normalization of
 `det_direct`.
+
+`enumerate_admissible_reference` is the admissible enumeration as one
+generator per part. `record_to_jsonl_reference`, `record_to_csv_reference`,
+`record_from_jsonl_reference`, `record_from_csv_reference` and
+`enumeration_checksum_reference` are the record codec and enumeration digest
+spelled out with `json`, a regular expression per field, the checking
+`ResultRecord` constructor and one hash update per partition.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -18,7 +28,8 @@ from typing import Iterator, Sequence
 
 from vanschur.delta_engine import DeltaSpec, weight_ok
 from vanschur.hyperdet import DEFAULT_TERM_LIMIT, BudgetError, DenseTensor, Value
-from vanschur.partitions import IntVec
+from vanschur.partitions import IntVec, _prefix_bounds
+from vanschur.records import ResultRecord
 
 
 def canonical_key(vectors: tuple[IntVec, ...]):
@@ -137,3 +148,83 @@ def det_direct_reference(t: DenseTensor, term_limit: int = DEFAULT_TERM_LIMIT) -
         total += term
     total /= factorial(n)
     return int(total) if total.denominator == 1 else total
+
+
+def enumerate_admissible_reference(n: int, k: int) -> Iterator[IntVec]:
+    """Admissible partitions of (n, k), largest first, one generator per part."""
+    lo, up = _prefix_bounds(n, k)
+    w = up[-1]
+    out = [0] * n
+
+    def rec(idx: int, s: int, prev: int) -> Iterator[IntVec]:
+        if idx == n:
+            yield tuple(out)
+            return
+        left = w - s
+        hi = min(prev, up[idx] - s, left)
+        # every later part is <= v, so v*(n-idx) must cover the leftover weight
+        lb = max(lo[idx] - s, 0, -(-left // (n - idx)))
+        for v in range(hi, lb - 1, -1):
+            out[idx] = v
+            yield from rec(idx + 1, s + v, v)
+
+    yield from rec(0, 0, 2 * k * (n - 1))
+
+
+def enumeration_checksum_reference(n: int, k: int, lams) -> str:
+    h = hashlib.sha256()
+    h.update(f"{n} {k}\n".encode())
+    for lam in lams:
+        h.update((" ".join(map(str, lam)) + "\n").encode())
+    return h.hexdigest()
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def record_to_jsonl_reference(r: ResultRecord) -> str:
+    payload = {"n": r.n, "k": r.k, "lambda": list(r.lam), "coeff": str(r.coeff)}
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def record_to_csv_reference(r: ResultRecord) -> str:
+    return f"{r.n},{r.k},{' '.join(map(str, r.lam))},{r.coeff}"
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer, refusing the bools and floats that int() would take."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def record_from_jsonl_reference(line: str) -> ResultRecord:
+    obj = json.loads(line)
+    lam = obj["lambda"]
+    if type(lam) is not list:
+        raise ValueError(f"lambda must be a JSON list, got {lam!r}")
+    coeff = obj["coeff"]
+    if type(coeff) is not str or not _DECIMAL.fullmatch(coeff):
+        raise ValueError(f"coeff must be a decimal integer string, got {coeff!r}")
+    return ResultRecord(
+        n=_json_int(obj["n"], "n"),
+        k=_json_int(obj["k"], "k"),
+        lam=tuple(_json_int(x, "lambda part") for x in lam),
+        coeff=int(coeff),
+    )
+
+
+def _csv_int(text: str, name: str) -> int:
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
+def record_from_csv_reference(line: str) -> ResultRecord:
+    n, k, lam, coeff = line.rstrip("\n").split(",")
+    return ResultRecord(
+        n=_csv_int(n, "n"),
+        k=_csv_int(k, "k"),
+        lam=tuple(_csv_int(x, "lambda part") for x in lam.split(" ")),
+        coeff=_csv_int(coeff, "coeff"),
+    )

@@ -71,7 +71,8 @@ def test_verify_over_budget_is_clean_refusal(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("expand ran before the oracle's budget check")
 
-    monkeypatch.setattr(cli, "expand", never)
+    # the command imports expand when it runs, so it is patched where it lives
+    monkeypatch.setattr("vanschur.coefficients.expand", never)
     code, _, err = run_cli(["verify", "--n", "7", "--k", "1"], capsys)
     assert code == 1
     assert "budget" in err
@@ -292,6 +293,20 @@ def test_merge_names_file_and_line_of_a_bad_line(tmp_path, capsys, lineno, text)
     assert not (tmp_path / "m.jsonl").exists()
 
 
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_merge_refuses_a_deeply_nested_line(tmp_path, capsys, lineno):
+    # deeper than the JSON parser recurses: a clean refusal naming the line,
+    # not a RecursionError traceback
+    (path,) = _write_shards(tmp_path, capsys, 3, 1, 1)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = "[" * 200_000 + "]" * 200_000
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 2
+    assert f"merge failure: {path}:{lineno}: ValueError: JSON value nested too deeply" in err
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "lineno, old, new",
     [
@@ -456,6 +471,50 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "2"
 
 
+# what a command that computes nothing must not load; fractions is imported
+# only by the dense oracles
+HEAVY_MODULES = ("vanschur.hyperdet", "vanschur.oracle", "fractions",
+                 "vanschur.delta_engine", "vanschur.coefficients")
+REPORT_LOADED = f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+
+
+def _src_env():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_importing_the_cli_loads_neither_engine_nor_oracles():
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, vanschur.cli; {REPORT_LOADED}"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_merge_loads_neither_engine_nor_oracles(tmp_path, capsys):
+    paths = _write_shards(tmp_path, capsys, 4, 1, 2)
+    merged = tmp_path / "m.jsonl"
+    # `python -m vanschur merge ...`, reporting what it loaded once it is done
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('vanschur', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"{REPORT_LOADED}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "merge", *map(str, paths), "--out", str(merged)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    direct = tmp_path / "direct.jsonl"
+    run_cli(["expand", "--n", "4", "--k", "1", "--out", str(direct)], capsys)
+    assert merged.read_bytes() == direct.read_bytes()
+
+
 def test_run_tables_rejects_zero_jobs():
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
     proc = subprocess.run(
@@ -489,7 +548,8 @@ def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("expand ran before the output was opened")
 
-    monkeypatch.setattr(cli, "expand", never)
+    # the command imports expand when it runs, so it is patched where it lives
+    monkeypatch.setattr("vanschur.coefficients.expand", never)
     code, _, err = run_cli(
         ["expand", "--n", "2", "--k", "1", "--out", str(tmp_path / "no" / "dir.jsonl")],
         capsys,

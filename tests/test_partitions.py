@@ -1,7 +1,11 @@
+import time
+from itertools import islice, zip_longest
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from reference import enumerate_admissible_reference
 from vanschur.partitions import (
     AdmissibleBounds,
     as_partition,
@@ -107,6 +111,32 @@ def test_enumeration_complete_against_exhaustive_filter(n, k):
         reverse=True,
     )
     assert list(enumerate_admissible(n, k)) == brute
+
+
+# every cell with n <= 9 and k <= 3 except the three largest, (8,3), (9,2)
+# and (9,3) with 3.6M, 2.6M and 46.9M partitions, which take minutes against
+# the reference generator; and (5,4)
+REFERENCE_CELLS = [
+    (n, k) for n in range(1, 10) for k in range(1, 4) if (n, k) not in {(8, 3), (9, 2), (9, 3)}
+] + [(5, 4)]
+
+
+@pytest.mark.parametrize("n,k", REFERENCE_CELLS)
+def test_enumeration_matches_the_generator_per_part(n, k):
+    missing = object()
+    pairs = zip_longest(enumerate_admissible(n, k), enumerate_admissible_reference(n, k),
+                        fillvalue=missing)
+    assert all(a == b for a, b in pairs)
+
+
+def test_enumeration_is_lazy():
+    # (60,5) has far too many partitions to list; the first comes at once
+    start = time.perf_counter()
+    first = next(enumerate_admissible(60, 5))
+    assert time.perf_counter() - start < 1.0
+    assert first == AdmissibleBounds.of(60, 5).upper
+    head = list(islice(enumerate_admissible(60, 5), 200))
+    assert head == list(islice(enumerate_admissible_reference(60, 5), 200))
 
 
 def test_as_partition_validation():
