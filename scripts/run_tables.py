@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the admissible/vanishing count grids at configurable scale.
 
-The default grid takes about 5 s in all, serial, on a 2-vCPU Xeon VM with
-Python 3.11; its largest cell, (5,4), takes about 2.7 s. --extended adds the
+The default grid takes about 4.5 s in all, serial, on a 2-vCPU Xeon VM with
+Python 3.11; its largest cell, (5,4), takes 2.2 to 2.5 s. --extended adds the
 large single-column cases (k=1 up to --nmax-k1). On the same host a (9,1)
-table takes about 5 s and a (10,1) table about 40 s; (11,1) is untried.
+table takes 3.5 to 5.5 s and a (10,1) table 38 to 46 s, at about 720 MB peak
+RSS, as the host's speed drifts from run to run; (11,1) is untried.
 
 Examples:
     python scripts/run_tables.py

@@ -6,7 +6,7 @@ symbolic expansion serves as ground truth.
 
 The public names resolve on first use (PEP 562), so importing the package, or
 one of its modules, loads no other module: `vanschur merge` never loads the
-dense oracles.
+engine or the oracle.
 """
 
 import importlib
@@ -22,23 +22,10 @@ _HOMES = {
     "DeltaSpec": "delta_engine",
     "MemoCache": "delta_engine",
     "evaluate": "delta_engine",
-    "materialize": "delta_engine",
     "weight_ok": "delta_engine",
-    "BudgetError": "hyperdet",
-    "DenseTensor": "hyperdet",
-    "det_direct": "hyperdet",
-    "hankel_tensor": "hyperdet",
-    "laplace_expand": "hyperdet",
-    "laplace_sign": "hyperdet",
-    "minor": "hyperdet",
-    "DiscreteMeasure": "oracle",
-    "FunctionTable": "oracle",
-    "heine_lhs": "oracle",
-    "heine_rhs": "oracle",
+    "BudgetError": "oracle",
     "schur_expansion_bruteforce": "oracle",
     "vandermonde_power": "oracle",
-    "AdmissibleBounds": "partitions",
-    "dominates": "partitions",
     "enumerate_admissible": "partitions",
     "is_admissible": "partitions",
 }

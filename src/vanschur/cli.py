@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure,
 141 (128 + SIGPIPE) when the reader of the output closes it early.
 
 Each command imports what it uses when it runs: `admissible` and `merge` load
-neither the engine nor the dense oracles, and only `verify` loads the oracles.
+neither the engine nor the oracle, and only `verify` loads the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .records import (
     enumeration_checksum,
     manifest_from_jsonl,
     manifest_to_jsonl,
-    record_from_jsonl,
+    record_fields_from_jsonl,
+    record_from_fields,
     record_to_jsonl,
     write_records,
 )
@@ -132,8 +133,7 @@ def cmd_admissible(args) -> int:
 
 def cmd_verify(args) -> int:
     from .coefficients import expand
-    from .hyperdet import BudgetError
-    from .oracle import schur_expansion_bruteforce
+    from .oracle import BudgetError, schur_expansion_bruteforce
 
     # the oracle refuses over-budget cells up front, before the engine runs
     try:
@@ -201,20 +201,26 @@ def cmd_merge(args) -> int:
         if not lines:
             print(f"merge failure: {path} is empty", file=sys.stderr)
             return VERIFY_EXIT
-        decoded = []
+        records: list[ResultRecord] = []
         for lineno, line in enumerate(lines, start=1):
             if lineno > 1 and not line.strip():
                 continue
-            decode = manifest_from_jsonl if lineno == 1 else record_from_jsonl
             try:
-                decoded.append(decode(line.decode("utf-8")))
+                if lineno == 1:
+                    manifest = manifest_from_jsonl(line.decode("utf-8"))
+                    continue
+                n, k, lam, coeff = record_fields_from_jsonl(line.decode("utf-8"))
+                # (n, k) is checked before the record pads lam to n parts,
+                # which an absurd n would make take any amount of memory
+                if (n, k) == (manifest.n, manifest.k):
+                    records.append(record_from_fields(n, k, lam, coeff))
+                    continue
+                problem = (f"record {len(records)} is for (n, k) = ({n}, {k}), "
+                           f"its manifest claims ({manifest.n}, {manifest.k})")
             except (ValueError, KeyError, TypeError) as exc:
-                print(
-                    f"merge failure: {path}:{lineno}: {type(exc).__name__}: {exc}",
-                    file=sys.stderr,
-                )
-                return VERIFY_EXIT
-        manifest, records = decoded[0], decoded[1:]
+                problem = f"{type(exc).__name__}: {exc}"
+            print(f"merge failure: {path}:{lineno}: {problem}", file=sys.stderr)
+            return VERIFY_EXIT
         if manifest.index in shard_records:
             print(
                 f"merge failure: duplicate shard index {manifest.index}",
@@ -230,15 +236,6 @@ def cmd_merge(args) -> int:
                 file=sys.stderr,
             )
             return VERIFY_EXIT
-        for pos, rec in enumerate(records):
-            if (rec.n, rec.k) != (manifest.n, manifest.k):
-                print(
-                    f"merge failure: shard {manifest.index} ({path}) record {pos} "
-                    f"is for (n, k) = ({rec.n}, {rec.k}), its manifest claims "
-                    f"({manifest.n}, {manifest.k})",
-                    file=sys.stderr,
-                )
-                return VERIFY_EXIT
         manifests.append(manifest)
         shard_records[manifest.index] = records
 

@@ -59,14 +59,9 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import factorial, isqrt, prod
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .partitions import IntVec, as_decreasing
-
-if TYPE_CHECKING:
-    from .hyperdet import DenseTensor
-
-DEFAULT_MATERIALIZE_LIMIT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -92,16 +87,8 @@ class DeltaSpec:
         return len(self.vectors[0])
 
     @property
-    def order(self) -> int:
-        return len(self.vectors)
-
-    @property
     def half(self) -> int:
         return len(self.vectors) // 2
-
-    @property
-    def target(self) -> int:
-        return (self.order - 1) * self.n + 1
 
     @classmethod
     def for_coefficient(cls, lam: Sequence[int], n: int, k: int) -> "DeltaSpec":
@@ -508,21 +495,4 @@ def evaluate(
     if not weight_ok(spec):
         return 0
     return _lookup(spec.vectors, cache, factorize)
-
-
-def materialize(
-    spec: DeltaSpec, limit: int = DEFAULT_MATERIALIZE_LIMIT
-) -> DenseTensor:
-    """Explicit 0/1 tensor of the spec (guarded: n^2K entries)."""
-    from .hyperdet import hankel_tensor
-
-    n = spec.n
-    if n ** spec.order > limit:
-        raise ValueError(
-            f"materialize refused: {n}^{spec.order} entries exceed limit {limit}"
-        )
-    goal = spec.target - spec.order
-    moments = lambda s: 1 if s == goal else 0
-    reversed_shifts = [v[::-1] for v in spec.vectors]
-    return hankel_tensor(moments, n, spec.order, reversed_shifts)
 

@@ -1,4 +1,5 @@
-"""Weakly decreasing integer vectors, dominance order, admissible enumeration.
+"""Weakly decreasing integer vectors and the admissible partitions of (n, k),
+the dominance interval between a flat and a staircase partition.
 
 Partitions and decreasing vectors are plain tuples of ints. Wherever a fixed
 alphabet size n matters (tensor indexing, enumeration) partitions carry
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -38,52 +38,6 @@ def as_partition(entries: Iterable[int], n: int | None = None) -> IntVec:
             raise ValueError(f"partition {list(v)} has more than {n} parts")
         v = v + (0,) * (n - len(v))
     return v
-
-
-@dataclass(frozen=True)
-class AdmissibleBounds:
-    """Dominance interval endpoints for the expansion coefficients of (n, k)."""
-
-    upper: IntVec
-    lower: IntVec
-    n: int
-    k: int
-
-    @classmethod
-    def of(cls, n: int, k: int) -> "AdmissibleBounds":
-        if n < 1 or k < 1:
-            raise ValueError("n and k must be positive")
-        upper = tuple(2 * k * (n - 1 - i) for i in range(n))
-        lower = (k * (n - 1),) * n
-        return cls(upper=upper, lower=lower, n=n, k=k)
-
-    @property
-    def target_weight(self) -> int:
-        return self.k * self.n * (self.n - 1)
-
-
-def dominates(a: Iterable[int], b: Iterable[int]) -> bool:
-    """True iff every prefix sum of a is >= the matching prefix sum of b.
-
-    The shorter argument is padded with zeros. Comparing partitions of
-    different weight is meaningless and raises ValueError.
-    """
-    pa = as_partition(a)
-    pb = as_partition(b)
-    n = max(len(pa), len(pb))
-    pa = pa + (0,) * (n - len(pa))
-    pb = pb + (0,) * (n - len(pb))
-    if sum(pa) != sum(pb):
-        raise ValueError(
-            f"incomparable inputs: weights differ ({sum(pa)} vs {sum(pb)})"
-        )
-    sa = sb = 0
-    for x, y in zip(pa, pb):
-        sa += x
-        sb += y
-        if sa < sb:
-            return False
-    return True
 
 
 @functools.cache

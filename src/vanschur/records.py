@@ -59,7 +59,7 @@ class ShardManifest:
             raise ValueError(f"shard index {self.index} outside 0..{self.shards - 1}")
 
 
-def _record(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
+def record_from_fields(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
     """ResultRecord(n=n, k=k, lam=lam, coeff=coeff) for a tuple of ints,
     validating lam once: a partition of at most n parts is padded and stored
     as it is, and anything else goes to the checking constructor, which
@@ -116,9 +116,11 @@ def _json_value(line: str):
     return value
 
 
-def record_from_jsonl(line: str) -> ResultRecord:
-    """Decode one JSONL record, refusing the bools and floats that int()
-    would take and any coefficient that is not a decimal string."""
+def record_fields_from_jsonl(line: str) -> tuple[int, int, IntVec, int]:
+    """The n, k, lambda and coefficient of one JSONL record, refusing the
+    bools and floats that int() would take and any coefficient that is not a
+    decimal string. No record is built, so a caller can refuse an n before
+    lambda is padded to n parts."""
     obj = _json_value(line)
     lam = obj["lambda"]
     if type(lam) is not list:
@@ -130,7 +132,11 @@ def record_from_jsonl(line: str) -> ResultRecord:
     k = _json_int(obj["k"], "k")
     if not set(map(type, lam)) <= {int}:
         raise ValueError(f"lambda parts must be JSON integers, got {lam!r}")
-    return _record(n, k, tuple(lam), int(coeff))
+    return n, k, tuple(lam), int(coeff)
+
+
+def record_from_jsonl(line: str) -> ResultRecord:
+    return record_from_fields(*record_fields_from_jsonl(line))
 
 
 def record_to_csv(r: ResultRecord) -> str:
@@ -142,7 +148,7 @@ def record_from_csv(line: str) -> ResultRecord:
     parts = lam.split(" ")
     if not all(map(_DECIMAL.fullmatch, (n, k, coeff, *parts))):
         raise ValueError(f"CSV fields must be decimal integers, got {line!r}")
-    return _record(int(n), int(k), tuple(map(int, parts)), int(coeff))
+    return record_from_fields(int(n), int(k), tuple(map(int, parts)), int(coeff))
 
 
 def write_records(records: Iterable[ResultRecord], fmt: str) -> Iterator[str]:

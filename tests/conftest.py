@@ -6,8 +6,8 @@ import random
 
 import hypothesis.strategies as st
 
+from dense import DenseTensor
 from vanschur.delta_engine import DeltaSpec
-from vanschur.hyperdet import DenseTensor
 
 # The order-4, dim-3 worked tensor used throughout: vectors
 # ((2,1,1),(1,0,0),(1,0,0),(0,0,0)), value 6. Its thirteen unit entries,

@@ -1,8 +1,16 @@
-"""Exact dense hyperdeterminants: direct definition and generalized Laplace expansion.
+"""Dense exact hyperdeterminants, the dense tensor of a delta spec, and
+Heine-type determinant integrals: what the suite checks the sparse engine
+against.
 
-Oracle-grade code: everything is exact (ints or Fractions), nothing here is
-meant to scale past small dimensions. The sparse engine in delta_engine is
-checked against this module.
+`det_direct` is the alternated-sum definition and `laplace_expand` the
+generalized Laplace expansion over index sets. `materialize` writes out the
+0/1 tensor a `DeltaSpec` stands for, and `hankel_tensor` the shifted Hankel
+tensor it is a case of. `heine_lhs` and `heine_rhs` are the two sides of the
+Heine identity over a discrete measure: the n-fold sum of products of
+determinants, and the hyperdeterminant of the mixed-moment tensor.
+
+Everything is exact (ints or Fractions), and nothing here is meant to scale
+past small dimensions.
 """
 
 from __future__ import annotations
@@ -15,14 +23,14 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
+from vanschur.delta_engine import DeltaSpec
+from vanschur.oracle import BudgetError
+
 IntVec = tuple[int, ...]
 Value = int | Fraction
 
 DEFAULT_TERM_LIMIT = 10**8
-
-
-class BudgetError(RuntimeError):
-    """Raised when an exact computation would exceed its size guard."""
+DEFAULT_MATERIALIZE_LIMIT = 1 << 21
 
 
 def as_index_set(indices: Iterable[int], dim: int) -> IntVec:
@@ -187,3 +195,132 @@ def hankel_tensor(
         return moments(s)
 
     return DenseTensor.from_function(order, n, fn)
+
+
+def materialize(
+    spec: DeltaSpec, limit: int = DEFAULT_MATERIALIZE_LIMIT
+) -> DenseTensor:
+    """Explicit 0/1 tensor of the spec (guarded: n^2K entries)."""
+    n = spec.n
+    order = len(spec.vectors)
+    if n**order > limit:
+        raise ValueError(
+            f"materialize refused: {n}^{order} entries exceed limit {limit}"
+        )
+    # hankel_tensor sums the indices less one each, so its argument hits the
+    # delta target (2K-1)n + 1 less the order
+    goal = (order - 1) * n + 1 - order
+    moments = lambda s: 1 if s == goal else 0
+    reversed_shifts = [v[::-1] for v in spec.vectors]
+    return hankel_tensor(moments, n, order, reversed_shifts)
+
+
+# ---------------------------------------------------------------------------
+# Heine-type determinant integrals over discrete measures
+
+
+@dataclass(frozen=True)
+class DiscreteMeasure:
+    """Finitely supported measure with exact rational weights."""
+
+    support: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        support = tuple(Fraction(x) for x in self.support)
+        weights = tuple(Fraction(w) for w in self.weights)
+        if len(support) != len(weights):
+            raise ValueError("support and weights must have the same length")
+        if len(set(support)) != len(support):
+            raise ValueError("support points must be pairwise distinct")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "weights", weights)
+
+
+@dataclass(frozen=True)
+class FunctionTable:
+    """Values f_j^(i)(x): values[i-1][j-1][x_index], exact rationals."""
+
+    values: tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+    @classmethod
+    def monomials(
+        cls, exponents: Sequence[Sequence[int]], measure: DiscreteMeasure
+    ) -> "FunctionTable":
+        """Table with f_j^(i)(z) = z^exponents[i-1][j-1]."""
+        vals = tuple(
+            tuple(tuple(x**e for x in measure.support) for e in slot)
+            for slot in exponents
+        )
+        return cls(values=vals)
+
+
+def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
+    """Plain n x n determinant by exact Gaussian elimination."""
+    n = len(rows)
+    mat = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            f = mat[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    mat[r][c] -= f * mat[col][c]
+    return det
+
+
+def heine_lhs(mu: DiscreteMeasure, table: FunctionTable, n: int) -> Fraction:
+    """(1/n!) sum over n-tuples of support points of the weighted det product."""
+    if n == 0:
+        return Fraction(1)
+    slots = table.values
+    if any(len(slot) < n for slot in slots):
+        raise ValueError(f"every slot needs at least {n} functions")
+    points = range(len(mu.support))
+    total = Fraction(0)
+    for combo in product(points, repeat=n):
+        w = Fraction(1)
+        for c in combo:
+            w *= mu.weights[c]
+        if w == 0:
+            continue
+        term = w
+        for slot in slots:
+            term *= _det_fraction([[slot[j][c] for j in range(n)] for c in combo])
+            if term == 0:
+                break
+        total += term
+    return total / factorial(n)
+
+
+def heine_moment_tensor(mu: DiscreteMeasure, table: FunctionTable, n: int) -> DenseTensor:
+    """Order-2k tensor of mixed moments of the table against the measure."""
+    slots = table.values
+    if any(len(slot) < n for slot in slots):
+        raise ValueError(f"every slot needs at least {n} functions")
+
+    def fn(idx):
+        s = Fraction(0)
+        for p, w in enumerate(mu.weights):
+            term = w
+            for slot, i in zip(slots, idx):
+                term *= slot[i - 1][p]
+            s += term
+        return s
+
+    return DenseTensor.from_function(len(slots), n, fn)
+
+
+def heine_rhs(mu: DiscreteMeasure, table: FunctionTable, n: int) -> Fraction:
+    """Hyperdeterminant of the mixed-moment tensor."""
+    if n == 0:
+        return Fraction(1)
+    return Fraction(det_direct(heine_moment_tensor(mu, table, n)))

@@ -1,4 +1,7 @@
-"""Literal reference sums the suite checks the library against.
+"""Literal reference sums the suite checks the library against. The dense
+hyperdeterminants, the dense tensor of a spec and the Heine checks are in
+`dense.py`; what is here spells out, step by step, what the library does in
+one go.
 
 `pivot_tuples`, `child_spec` and `iter_subspecs` spell out the i_1 pivot step
 of the generalized Laplace recursion tuple by tuple, without the grouping,
@@ -6,7 +9,12 @@ merging or factorization of the engine. `canonical_key` spells out the
 symmetry class the engine's memo key stands for, with the vectors themselves
 in place of interned slot ids. `det_direct_reference` is the p-fold
 permutation sum with the explicit 1/n! factor, without the normalization of
-`det_direct`.
+`dense.det_direct`.
+
+`AdmissibleBounds` and `dominates` are the definition of an admissible
+partition: one between the flat lower bound and the staircase upper bound in
+dominance order, compared prefix sum by prefix sum. The library tests
+membership against precomputed prefix-sum bounds instead.
 
 `enumerate_admissible_reference` is the admissible enumeration as one
 generator per part. `record_to_jsonl_reference`, `record_to_csv_reference`,
@@ -21,14 +29,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from dense import DEFAULT_TERM_LIMIT, DenseTensor, Value
 from vanschur.delta_engine import DeltaSpec, weight_ok
-from vanschur.hyperdet import DEFAULT_TERM_LIMIT, BudgetError, DenseTensor, Value
-from vanschur.partitions import IntVec, _prefix_bounds
+from vanschur.oracle import BudgetError
+from vanschur.partitions import IntVec, _prefix_bounds, as_partition
 from vanschur.records import ResultRecord
 
 
@@ -48,6 +58,11 @@ def canonical_key(vectors: tuple[IntVec, ...]):
     return (tuple(norms), shift)
 
 
+def delta_target(spec: DeltaSpec) -> int:
+    """(2K-1)n + 1: the sum of shifted entries and indices at a 1 of the tensor."""
+    return (len(spec.vectors) - 1) * spec.n + 1
+
+
 def pivot_tuples(spec: DeltaSpec, i1: int) -> list[IntVec]:
     """All index tuples (i1, i_2, ..., i_2K) hitting the delta target.
 
@@ -59,7 +74,7 @@ def pivot_tuples(spec: DeltaSpec, i1: int) -> list[IntVec]:
     if not 1 <= i1 <= n:
         raise ValueError(f"i1 must lie in 1..{n}")
     vectors = spec.vectors
-    remaining = spec.target - vectors[0][n - i1] - i1
+    remaining = delta_target(spec) - vectors[0][n - i1] - i1
     last = vectors[-1]
     solve = {last[n - i] + i: i for i in range(1, n + 1)}
     middle = vectors[1:-1]
@@ -88,10 +103,10 @@ def child_spec(spec: DeltaSpec, tup: Sequence[int]) -> DeltaSpec:
     """
     n = spec.n
     tup = tuple(tup)
-    if len(tup) != spec.order or any(not 1 <= i <= n for i in tup):
+    if len(tup) != len(spec.vectors) or any(not 1 <= i <= n for i in tup):
         raise ValueError(f"bad index tuple {list(tup)}")
-    total = sum(spec.vectors[j][n - tup[j]] for j in range(spec.order)) + sum(tup)
-    if total != spec.target:
+    total = sum(v[n - i] for v, i in zip(spec.vectors, tup)) + sum(tup)
+    if total != delta_target(spec):
         raise ValueError(f"tuple {list(tup)} misses the delta target (caller bug)")
     drop = 2 * (spec.half - 1)
     children = []
@@ -148,6 +163,52 @@ def det_direct_reference(t: DenseTensor, term_limit: int = DEFAULT_TERM_LIMIT) -
         total += term
     total /= factorial(n)
     return int(total) if total.denominator == 1 else total
+
+
+@dataclass(frozen=True)
+class AdmissibleBounds:
+    """Dominance interval endpoints for the expansion coefficients of (n, k)."""
+
+    upper: IntVec
+    lower: IntVec
+    n: int
+    k: int
+
+    @classmethod
+    def of(cls, n: int, k: int) -> "AdmissibleBounds":
+        if n < 1 or k < 1:
+            raise ValueError("n and k must be positive")
+        upper = tuple(2 * k * (n - 1 - i) for i in range(n))
+        lower = (k * (n - 1),) * n
+        return cls(upper=upper, lower=lower, n=n, k=k)
+
+    @property
+    def target_weight(self) -> int:
+        return self.k * self.n * (self.n - 1)
+
+
+def dominates(a: Iterable[int], b: Iterable[int]) -> bool:
+    """True iff every prefix sum of a is >= the matching prefix sum of b.
+
+    The shorter argument is padded with zeros. Comparing partitions of
+    different weight is meaningless and raises ValueError.
+    """
+    pa = as_partition(a)
+    pb = as_partition(b)
+    n = max(len(pa), len(pb))
+    pa = pa + (0,) * (n - len(pa))
+    pb = pb + (0,) * (n - len(pb))
+    if sum(pa) != sum(pb):
+        raise ValueError(
+            f"incomparable inputs: weights differ ({sum(pa)} vs {sum(pb)})"
+        )
+    sa = sb = 0
+    for x, y in zip(pa, pb):
+        sa += x
+        sb += y
+        if sa < sb:
+            return False
+    return True
 
 
 def enumerate_admissible_reference(n: int, k: int) -> Iterator[IntVec]:

@@ -9,14 +9,24 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
 from conftest import WORKED_TENSOR_ONES, WORKED_TENSOR_VECTORS, random_tensor
+from dense import (
+    DiscreteMeasure,
+    FunctionTable,
+    det_direct,
+    heine_lhs,
+    heine_rhs,
+    laplace_expand,
+    materialize,
+    minor,
+)
 from reference import child_spec, pivot_tuples
 from vanschur.cli import main as cli_main
 from vanschur.coefficients import (
-    count_vanishing,
     expand,
     factorize_g,
     g_coefficient,
@@ -26,17 +36,9 @@ from vanschur.delta_engine import (
     MemoCache,
     _split,
     evaluate,
-    materialize,
     weight_ok,
 )
-from vanschur.hyperdet import det_direct, laplace_expand, minor
-from vanschur.oracle import (
-    DiscreteMeasure,
-    FunctionTable,
-    heine_lhs,
-    heine_rhs,
-    schur_expansion_bruteforce,
-)
+from vanschur.oracle import schur_expansion_bruteforce
 from vanschur.partitions import count_admissible, enumerate_admissible
 
 
@@ -160,8 +162,16 @@ VANISHING_GRID = [
 @pytest.mark.parametrize("n,k,admissible,vanishing", VANISHING_GRID)
 def test_criterion_5_vanishing_counts(n, k, admissible, vanishing):
     t0 = time.time()
-    got = count_vanishing(n, k, workers=2)
+    table = expand(n, k, workers=2)
+    # the counts as count_vanishing reads them off the same table
+    got = (len(table), len(table.vanishing()))
     assert got == (admissible, vanishing), (n, k, got)
+    # Dyson's constant term: the sum of g(lam)^2 is <V^(2k), V^(2k)> in the
+    # Hall inner product, (n(2k+1))! / (n! ((2k+1)!)^n), an exact quotient
+    top = factorial(n * (2 * k + 1))
+    bottom = factorial(n) * factorial(2 * k + 1) ** n
+    assert top % bottom == 0
+    assert sum(g * g for g in table.terms.values()) == top // bottom
     assert time.time() - t0 < 1800
     _report(5, t0, f"n={n} k={k}: {vanishing} of {admissible}")
 

@@ -210,6 +210,36 @@ def test_merge_cost_ignores_a_claimed_n(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.jsonl").exists()
 
 
+@pytest.mark.parametrize("record_n", [10**20, 10**9])
+def test_merge_refuses_a_record_for_an_absurd_n(tmp_path, capsys, record_n):
+    # n is compared with the manifest's before the record pads lambda to n
+    # parts: 10^20 would overflow, and 10^9 would ask for 8 GB, a MemoryError
+    # under the 1 GB address-space limit the merge runs under here, so a
+    # clean exit 2 shows that nothing of that size was asked for
+    (path,) = _write_shards(tmp_path, capsys, 3, 1, 1)
+    manifest = path.read_text().splitlines()[0].replace('"count":5', '"count":1')
+    record = f'{{"n":{record_n},"k":1,"lambda":[4,2,0],"coeff":"1"}}'
+    path.write_text(f"{manifest}\n{record}\n")
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from vanschur.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "merge", str(path), "--out", str(tmp_path / "m.jsonl")],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"merge failure: {path}:2: record 0 is for (n, k) = "
+                           f"({record_n}, 1), its manifest claims (3, 1)\n")
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "shards, count, message",
     [
@@ -471,10 +501,10 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "2"
 
 
-# what a command that computes nothing must not load; fractions is imported
-# only by the dense oracles
-HEAVY_MODULES = ("vanschur.hyperdet", "vanschur.oracle", "fractions",
-                 "vanschur.delta_engine", "vanschur.coefficients")
+# what a command that computes nothing must not load; no package module
+# imports fractions, which the test-side dense oracles use
+HEAVY_MODULES = ("vanschur.oracle", "fractions", "vanschur.delta_engine",
+                 "vanschur.coefficients")
 REPORT_LOADED = f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
 
 

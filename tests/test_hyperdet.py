@@ -5,17 +5,18 @@ from itertools import product
 import pytest
 
 from conftest import WORKED_TENSOR_VECTORS, random_tensor
-from reference import det_direct_reference
-from vanschur.delta_engine import DeltaSpec, materialize
-from vanschur.hyperdet import (
-    BudgetError,
+from dense import (
     DenseTensor,
     det_direct,
     hankel_tensor,
     laplace_expand,
     laplace_sign,
+    materialize,
     minor,
 )
+from reference import det_direct_reference
+from vanschur.delta_engine import DeltaSpec
+from vanschur.oracle import BudgetError
 
 
 def test_det_direct_is_the_matrix_determinant_for_order_2():

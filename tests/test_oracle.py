@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from vanschur.coefficients import g_coefficient
-from vanschur.hyperdet import BudgetError, det_direct, hankel_tensor
-from vanschur.oracle import (
+from dense import (
     DiscreteMeasure,
     FunctionTable,
+    det_direct,
+    hankel_tensor,
     heine_lhs,
     heine_moment_tensor,
     heine_rhs,
+)
+from vanschur.coefficients import g_coefficient
+from vanschur.delta_engine import MemoCache
+from vanschur.oracle import (
+    BudgetError,
     poly_mul,
     schur_expansion_bruteforce,
     vandermonde_power,
@@ -51,6 +57,19 @@ def test_bruteforce_three_letters():
     exp = schur_expansion_bruteforce(3, 1)
     assert len(exp) == 5
     assert exp.coefficient((4, 1, 1)) == g_coefficient((4, 1, 1), 3, 1) == -3
+
+
+@pytest.mark.parametrize("n,k", [(8, 1), (9, 1), (6, 2), (5, 4)])
+def test_rectangle_coefficient_closed_form(n, k):
+    # the rectangle (k(n-1))^n has a closed-form coefficient,
+    # (-1)^(k n(n-1)/2) (n(k+1))! / (n! ((k+1)!)^n); it is among the costliest
+    # to compute, so this checks the engine at full depth at sizes the brute
+    # force cannot reach
+    top = factorial(n * (k + 1))
+    bottom = factorial(n) * factorial(k + 1) ** n
+    assert top % bottom == 0
+    sign = -1 if k * n * (n - 1) // 2 % 2 else 1
+    assert g_coefficient((k * (n - 1),) * n, n, k, MemoCache()) == sign * (top // bottom)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])

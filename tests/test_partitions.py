@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from reference import enumerate_admissible_reference
+from reference import AdmissibleBounds, dominates, enumerate_admissible_reference
 from vanschur.partitions import (
-    AdmissibleBounds,
     as_partition,
     count_admissible,
-    dominates,
     enumerate_admissible,
     is_admissible,
 )
@@ -111,6 +109,19 @@ def test_enumeration_complete_against_exhaustive_filter(n, k):
         reverse=True,
     )
     assert list(enumerate_admissible(n, k)) == brute
+
+
+@pytest.mark.parametrize(
+    "n,k", [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (4, 3)]
+)
+def test_is_admissible_is_the_dominance_interval(n, k):
+    # is_admissible reads precomputed prefix-sum bounds; the definition is
+    # the dominance interval between the staircase and the flat partition
+    bounds = AdmissibleBounds.of(n, k)
+    w = bounds.target_weight
+    for lam in all_partitions_bounded(w, n, w):
+        want = dominates(bounds.upper, lam) and dominates(lam, bounds.lower)
+        assert is_admissible(lam, n, k) == want, lam
 
 
 # every cell with n <= 9 and k <= 3 except the three largest, (8,3), (9,2)
