@@ -2,14 +2,14 @@
 """Reproduce the admissible/vanishing count grids at configurable scale.
 
 The default grid takes about 4.5 s in all, serial, on a 2-vCPU Xeon VM with
-Python 3.11; its largest cell, (5,4), takes 2.2 to 2.5 s. --extended adds the
-large single-column cases (k=1 up to --nmax-k1). On the same host a (9,1)
-table takes 3.5 to 5.5 s and a (10,1) table 38 to 46 s, at about 720 MB peak
-RSS, as the host's speed drifts from run to run; (11,1) is untried.
+Python 3.11; its largest cell, (5,4), takes 2.2 to 2.5 s. --nmax-k1 N runs
+the k=1 column up to n=N instead of n=8. On the same host a (9,1) table
+takes 3.5 to 5.5 s and a (10,1) table 38 to 46 s, at about 720 MB peak RSS,
+as the host's speed drifts from run to run; (11,1) is untried.
 
 Examples:
     python scripts/run_tables.py
-    python scripts/run_tables.py --extended --nmax-k1 9 --jobs 2
+    python scripts/run_tables.py --nmax-k1 9 --jobs 2
 """
 
 from __future__ import annotations
@@ -35,23 +35,15 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--counts-only", action="store_true",
                         help="skip coefficient evaluation, print only the admissible grid")
-    parser.add_argument("--extended", action="store_true",
-                        help="add k=1 columns past n=8")
-    parser.add_argument("--nmax-k1", type=int, default=None,
-                        help="largest n for the extended k=1 column, 2 to 11 "
-                             "(default 9); needs --extended")
+    parser.add_argument("--nmax-k1", type=int, default=8,
+                        help="largest n of the k=1 column, 2 to 11 (default 8)")
     args = parser.parse_args()
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.nmax_k1 is not None:
-        if not args.extended:
-            parser.error("--nmax-k1 needs --extended")
-        if not 2 <= args.nmax_k1 <= 11:
-            parser.error(f"--nmax-k1 must be between 2 and 11, got {args.nmax_k1}")
+    if not 2 <= args.nmax_k1 <= 11:
+        parser.error(f"--nmax-k1 must be between 2 and 11, got {args.nmax_k1}")
 
-    grid = {k: list(ns) for k, ns in DEFAULT_GRID.items()}
-    if args.extended:
-        grid[1] = list(range(2, (args.nmax_k1 or 9) + 1))
+    grid = {**DEFAULT_GRID, 1: range(2, args.nmax_k1 + 1)}
 
     print(f"{'k':>2} {'n':>3} {'admissible':>12} {'vanishing':>10} {'seconds':>9}")
     for k, ns in grid.items():

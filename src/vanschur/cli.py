@@ -142,9 +142,6 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     engine = expand(args.n, args.k, workers=args.jobs)
-    if list(engine.terms) != list(reference.terms):
-        print("mismatch: partition enumerations differ", file=sys.stderr)
-        return VERIFY_EXIT
     for lam, g in engine:
         expected = reference.terms[lam]
         if g != expected:
@@ -210,13 +207,18 @@ def cmd_merge(args) -> int:
                     manifest = manifest_from_jsonl(line.decode("utf-8"))
                     continue
                 n, k, lam, coeff = record_fields_from_jsonl(line.decode("utf-8"))
-                # (n, k) is checked before the record pads lam to n parts,
-                # which an absurd n would make take any amount of memory
-                if (n, k) == (manifest.n, manifest.k):
+                # (n, k) and the part count are checked before the record is
+                # built: `shard` writes all n parts, and padding a short lam
+                # to an absurd n would take any amount of memory
+                if (n, k) != (manifest.n, manifest.k):
+                    problem = (f"record {len(records)} is for (n, k) = ({n}, {k}), "
+                               f"its manifest claims ({manifest.n}, {manifest.k})")
+                elif len(lam) != n:
+                    problem = (f"record {len(records)} has {len(lam)} parts, "
+                               f"its manifest's n is {n}")
+                else:
                     records.append(record_from_fields(n, k, lam, coeff))
                     continue
-                problem = (f"record {len(records)} is for (n, k) = ({n}, {k}), "
-                           f"its manifest claims ({manifest.n}, {manifest.k})")
             except (ValueError, KeyError, TypeError) as exc:
                 problem = f"{type(exc).__name__}: {exc}"
             print(f"merge failure: {path}:{lineno}: {problem}", file=sys.stderr)
@@ -246,61 +248,39 @@ def cmd_merge(args) -> int:
                   file=sys.stderr)
             return VERIFY_EXIT
 
-    # shard j of S holds len(range(j, T, S)) of the T records, at most
-    # count * S + j, and no shard holds more than one record beyond another;
-    # so unless more than half the shards are missing, honest shards have
-    # T <= cap, a bound that follows the files given, not the (n, k) or the
-    # shard count a manifest claims
-    held = sum(m.count for m in manifests)
-    cap = min(min(m.count * m.shards + m.index for m in manifests),
-              2 * held + len(manifests))
-    lams = list(islice(enumerate_admissible(ref.n, ref.k), cap + 1))
     # indices are distinct and below ref.shards, so naming the missing ones
     # costs no more than the files given
     missing = ref.shards - len(manifests)
     if missing:
         named = list(islice((j for j in range(ref.shards) if j not in shard_records), 5))
         more = f" and {missing - len(named)} more" if missing > len(named) else ""
-        if len(lams) > cap:
-            count = f"at least {len(lams) - held} missing of more than {cap}"
-        else:
-            present = sum(len(range(j, len(lams), ref.shards)) for j in shard_records)
-            count = f"{len(lams) - present} missing of {len(lams)}"
-        print(f"merge failure: missing shard index(es) {named}{more}: {count}",
-              file=sys.stderr)
+        print(f"merge failure: missing shard index(es) {named}{more}", file=sys.stderr)
         return VERIFY_EXIT
-    if len(lams) > cap:
-        print(
-            f"merge failure: (n, k) = ({ref.n}, {ref.k}) has more than {cap} "
-            f"admissible partitions, more than the shards' counts allow",
-            file=sys.stderr,
-        )
+    # with every shard present the table is exactly the records held, so the
+    # claimed (n, k) is enumerated no further than one partition beyond them
+    held = sum(m.count for m in manifests)
+    if not held:
+        print("merge failure: the shards hold no records, and no admissible "
+              "table is empty", file=sys.stderr)
+        return VERIFY_EXIT
+    lams = list(islice(enumerate_admissible(ref.n, ref.k), held + 1))
+    if len(lams) != held:
+        size = f"more than {held}" if len(lams) > held else len(lams)
+        print(f"merge failure: (n, k) = ({ref.n}, {ref.k}) has {size} admissible "
+              f"partitions, the shards hold {held} records", file=sys.stderr)
         return VERIFY_EXIT
     if ref.checksum != enumeration_checksum(ref.n, ref.k, lams):
         print("merge failure: checksum does not match the admissible enumeration",
               file=sys.stderr)
         return VERIFY_EXIT
 
-    merged: list[ResultRecord | None] = [None] * len(lams)
-    for m in manifests:
-        expected = lams[m.index :: m.shards]
-        got = shard_records[m.index]
-        if len(got) != len(expected):
-            print(
-                f"merge failure: shard {m.index} holds {len(got)} records, "
-                f"expected {len(expected)}",
-                file=sys.stderr,
-            )
+    merged: list[ResultRecord | None] = [None] * held
+    for j, got in shard_records.items():
+        if [r.lam for r in got] != lams[j::ref.shards]:
+            print(f"merge failure: shard {j} does not match the canonical enumeration",
+                  file=sys.stderr)
             return VERIFY_EXIT
-        for pos, (lam, rec) in enumerate(zip(expected, got)):
-            if rec.lam != lam:
-                print(
-                    f"merge failure: shard {m.index} record {pos} does not match "
-                    f"the canonical enumeration",
-                    file=sys.stderr,
-                )
-                return VERIFY_EXIT
-            merged[m.index + pos * m.shards] = rec
+        merged[j::ref.shards] = got
 
     with _output(args.out) as out:
         out.writelines(write_records(merged, args.format))
