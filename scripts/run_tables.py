@@ -4,7 +4,7 @@
 The default grid takes about 4.5 s in all, serial, on a 2-vCPU Xeon VM with
 Python 3.11; its largest cell, (5,4), takes 2.2 to 2.5 s. --nmax-k1 N runs
 the k=1 column up to n=N instead of n=8. On the same host a (9,1) table
-takes 3.5 to 5.5 s and a (10,1) table 38 to 46 s, at about 720 MB peak RSS,
+takes 3.5 to 5.5 s and a (10,1) table 38 to 46 s, at about 565 MB peak RSS,
 as the host's speed drifts from run to run; (11,1) is untried.
 
 Examples:
@@ -18,6 +18,7 @@ import argparse
 import sys
 import time
 
+from vanschur.cli import closed_pipe_exit
 from vanschur.coefficients import count_vanishing
 from vanschur.partitions import count_admissible
 
@@ -59,4 +60,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader that stops early, as `| head` does, is no error
+        code = closed_pipe_exit()
+    sys.exit(code)

@@ -334,6 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def closed_pipe_exit() -> int:
+    """PIPE_EXIT, once stdout is pointed at devnull: after its reader closed
+    it, what stdout still buffers can never be delivered, and the exit flush
+    must not fail a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return PIPE_EXIT
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -347,12 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # what stdout still buffers can never be delivered; send it to
-        # devnull so the exit flush does not fail a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return PIPE_EXIT
+        return closed_pipe_exit()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -13,11 +13,11 @@ members does (34,215 memo entries against 92,317 on the (8,1) table).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .delta_engine import DeltaSpec, MemoCache, _split, evaluate
 from .partitions import (
+    Frozen,
     IntVec,
     _within_bounds,
     as_partition,
@@ -25,13 +25,16 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(Frozen):
     """All coefficients of one (n, k), keyed by partition in reverse-lex order."""
 
-    n: int
-    k: int
-    terms: dict[IntVec, int]
+    __slots__ = ("n", "k", "terms")
+
+    def __init__(self, n: int, k: int, terms: dict[IntVec, int]):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "k", k)
+        init(self, "terms", terms)
 
     def __iter__(self):
         return iter(self.terms.items())

@@ -21,34 +21,53 @@ The weight (K-1)n(n-1) is checked once, on the spec `evaluate` is given:
 the pivot children and the split blocks of a spec of that weight have it
 too. A slot vector is one of the spec's 2K vectors; each distinct one,
 shifted to end in 0, is interned once per process as a prime, the i-th new
-vector taking the i-th prime. The memo key of a spec is the product of its
-slot primes, which by unique factorization fixes the multiset of its slots
-as a sorted tuple of ids would, with no sort. The primes fix each vector up
-to its shift, and the weight fixes the sum of the shifts, so the key needs
-no total shift. Each group-table row carries the product of the primes it
-strikes, so the pivot enumeration builds each child's key with one multiply
-per group. `_pivot_sum` probes the memo with each child's key in its own
-loop and recurses only on a miss; a child's vectors are built only then,
-from the group rows its enumeration chose. The prime table and the group
+vector taking the i-th prime, in `_SLOT_IDS`, the one table of slot vectors.
+The memo key of a spec is the product of its slot primes, which by unique
+factorization fixes the multiset of its slots as a sorted tuple of ids
+would, with no sort. The primes fix each vector up to its shift, and the
+weight fixes the sum of the shifts, so the key needs no total shift. Each
+group-table row carries the product of the primes it strikes, so the pivot
+enumeration builds each child's key with one multiply per group.
+`_pivot_sum` probes the memo with each child's key in its own loop and
+recurses only on a miss; a child's vectors are built only then, from the
+group rows its enumeration chose, and the child goes down with the prime of
+its first vector, which the pivot sum knew. A pivot child's prime is looked
+up from the pivot's prime in `_HEAD_IDS`, with no vector built or shifted;
+the pivot's prime is looked up from its vector only when `_widest_first`
+moves another vector to the pivot slot. The prime table and the group
 tables are process-wide and unbounded: the (8,1) table interns 6,406 slot
 vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2) 1,811.
 
 The children of one pivot differ only in what the companions, the vectors
 other than the pivot, strike; the pivot's own child is the same for all of
-them. That companion side depends only on the sorted companions and on
-need = (2K-1)n - first[-1], so each MemoCache keeps it in `pivots`, keyed on
-the pair, for as long as the memo lives. A table comes back to most pairs
-(79% of the (8,1) table's sights of a pair are returns to one it holds), a
-cold coefficient to few (6% over the benchmark's 480 pooled ones), so the
-memo chooses from what it has seen. While its returns number at most half
-the pairs it holds, a pair's first sight enumerates from the pivot child's
-prime and leaves a marker, and the second keeps, in one flat tuple, each
-distinct child's product of struck slot primes, struck vectors and signed
-count. Beyond that line a first sight keeps that tuple at once, so no pair
-is enumerated twice. A later sight multiplies each child's product by the
-pivot child's prime to get its memo key, so keys, their order, the vectors
-each key is evaluated on and the memo counts are those of a fresh
-enumeration.
+them. Up to a shift of each struck vector, that companion side depends only
+on the companions up to a shift of each, which the product of their slot
+primes fixes, and on the shifted need, need = (2K-1)n - first[-1] less the
+sum of the companions' last entries. Each MemoCache keeps it in `pivots`,
+for as long as the memo lives, keyed on one int: the companions' primes
+times the prime of the vector (shifted need, 0), which no companion can be,
+since a pivot sum that keeps anything has n >= 3. A table comes
+back to most pairs (82% of the (8,1) table's sights of a pair are returns to
+one it holds), a cold coefficient to few (12% over the benchmark's 480
+pooled ones), so the memo chooses from what it has seen. While its returns
+number at most half the pairs it holds, a pair's first sight enumerates
+from the pivot child's prime and leaves a marker, and the second keeps, in
+one flat tuple, the need it was enumerated for and each distinct child's
+product of struck slot primes, struck vectors and signed count. Beyond that
+line a first sight keeps that tuple at once, so no pair is enumerated
+twice. A later sight multiplies each child's product by the pivot child's
+prime to get its memo key, so keys, their counts and the memo counts are
+those of a fresh enumeration. Its companions may differ from the kept
+ones by a shift of each vector; the shifts add up to the difference in
+need, and the sight adds that sum to the pivot child's first vector
+instead, a zero-sum shift of the child that leaves its tensor unchanged.
+Only the order of the children and of a child's vectors can differ from a
+fresh enumeration's, which can move a tie of `_widest_first` and with it a
+few memo counts: 2 of the 480 pooled coefficients, and no table.
+
+The ints a MemoCache keeps, its values and the kept products, are interned
+in the cache, one object per distinct value, and go with it: the (9,1)
+table stores 299,056 values with 10,676 distinct ones.
 """
 
 from __future__ import annotations
@@ -57,21 +76,20 @@ import functools
 import itertools
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import factorial, isqrt, prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .partitions import IntVec, as_decreasing
+from .partitions import Frozen, IntVec, as_decreasing
 
 
-@dataclass(frozen=True)
-class DeltaSpec:
+class DeltaSpec(Frozen):
     """Implicit sparse tensor given by its 2K decreasing vectors."""
 
-    vectors: tuple[IntVec, ...]
+    __slots__ = ("vectors",)
 
-    def __post_init__(self):
-        raw = tuple(map(tuple, self.vectors))
+    def __init__(self, vectors: Sequence[Sequence[int]]):
+        raw = tuple(map(tuple, vectors))
         # each distinct vector is checked once: a coefficient's spec repeats
         # its zero vector 2k+1 times
         checked = {v: as_decreasing(v) for v in dict.fromkeys(raw)}
@@ -106,19 +124,22 @@ class MemoCache:
     miss. Inserts are idempotent: re-inserting a key with a conflicting value
     is a bug and raises. `pivots` keeps, for the same lifetime, the companion
     side of pivot enumerations (see _pivot_sum); it changes no key, value or
-    count of the memo.
+    count of the memo. `ints` holds one object per distinct int the cache
+    keeps, its values and the products in its kept companion sides.
     """
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
         self._data: dict = {}
-        # (sorted companion vectors, need) -> the kept companion side of
-        # their pivot enumeration, or None after a first sight that did not
-        # keep it; returns counts the sights of a pair already held. See
-        # _pivot_sum
+        # product of the companions' slot primes and the prime of the vector
+        # (need less the sum of the companions' offsets, 0) -> the kept
+        # companion side of their pivot enumeration, or None after a first
+        # sight that did not keep it; returns counts the sights of a pair
+        # already held. See _pivot_sum
         self.pivots: dict = {}
         self.returns = 0
+        self.ints: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -132,6 +153,7 @@ class MemoCache:
         return value
 
     def put(self, key, value) -> None:
+        value = self.ints.setdefault(value, value)
         if self._data.setdefault(key, value) != value:
             raise RuntimeError(f"conflicting cache insert for {key}")
 
@@ -157,26 +179,41 @@ def _primes() -> Iterator[int]:
         lo = hi
 
 
-# Slot vectors shifted to end in 0, each mapped to its prime. The i-th new
-# vector gets the i-th prime, so primes differ between processes; keys never
-# leave the process that built them. A prime is taken under the lock and only
-# for a vector not yet in the table, so threads interning at once never share
-# one and none is skipped.
+# Slot vectors shifted to end in 0, each mapped to its prime: the one table of
+# slot vectors. The i-th new vector gets the i-th prime, so primes differ
+# between processes; keys never leave the process that built them. A prime is
+# taken under the lock and only for a vector not yet in the table, so threads
+# interning at once never share one and none is skipped.
 _SLOT_IDS: dict[IntVec, int] = {}
 _NEW_SLOT_IDS = _primes()
 _SLOT_LOCK = threading.Lock()
+# the prime of a slot vector's head, the vector without its last entry, keyed
+# on the vector's prime: what every pivot child's first vector stands for.
+# Both are functions of the slot, so threads that fill an entry at once fill
+# in the same prime
+_HEAD_IDS: dict[int, int] = {}
 
 
-@functools.cache
 def _slot(v: IntVec) -> int:
     """Prime of one slot vector, standing for v shifted to end in 0."""
     off = v[-1] if v else 0
-    norm = tuple(x - off for x in v) if off else v
-    with _SLOT_LOCK:
-        prime = _SLOT_IDS.get(norm)
-        if prime is None:
-            prime = _SLOT_IDS[norm] = next(_NEW_SLOT_IDS)
+    if off:
+        v = tuple([x - off for x in v])
+    prime = _SLOT_IDS.get(v)
+    if prime is None:
+        with _SLOT_LOCK:
+            prime = _SLOT_IDS.get(v)
+            if prime is None:
+                prime = _SLOT_IDS[v] = next(_NEW_SLOT_IDS)
     return prime
+
+
+def _head(first_id: int, first: IntVec) -> int:
+    """Prime of first without its last entry, first's prime being first_id."""
+    head = _HEAD_IDS.get(first_id)
+    if head is None:
+        head = _HEAD_IDS[first_id] = _slot(first[:-1])
+    return head
 
 
 def _memo_key(vectors: tuple[IntVec, ...]) -> int:
@@ -184,8 +221,9 @@ def _memo_key(vectors: tuple[IntVec, ...]) -> int:
     zero-sum entry shifts: the product of its slot primes, which fixes the
     multiset of slots by unique factorization. The primes fix each vector up
     to its offset, and the weight fixes the sum of the offsets, so no total
-    shift needs to be kept."""
-    return prod(map(_slot, vectors))
+    shift needs to be kept. Each distinct vector is looked up once: a
+    coefficient's spec repeats its zero vector 2k+1 times."""
+    return prod([_slot(v) ** vectors.count(v) for v in set(vectors)])
 
 
 def _split(vectors: tuple[IntVec, ...], half: int, n: int):
@@ -245,10 +283,12 @@ def _group_table(v: IntVec, count: int):
     n = len(v)
     taus = [0] * (n + 1)
     kids: list[IntVec] = [()] * (n + 1)
+    kid_ids = [1] * (n + 1)
     for i in range(1, n + 1):
         cut = n - i
         taus[i] = v[cut] + i
         kids[i] = tuple(x + 1 for x in v[:cut]) + v[cut + 1 :]
+        kid_ids[i] = _slot(kids[i])
     rows = []
     for combo in itertools.combinations_with_replacement(range(1, n + 1), count):
         tau = 0
@@ -256,13 +296,12 @@ def _group_table(v: IntVec, count: int):
         for i in combo:
             tau += taus[i]
             isum += i
-        struck = tuple(kids[i] for i in combo)
         arr = _arrangements(combo)
         rows.append((
             tau,
             -arr if isum & 1 else arr,
-            struck,
-            prod(map(_slot, struck)),
+            tuple([kids[i] for i in combo]),
+            prod([kid_ids[i] for i in combo]),
         ))
     rows.sort(key=lambda r: r[0])
     by_sum: dict[int, list] = {}
@@ -351,15 +390,17 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
     return acc
 
 
-def _kept_children(rest: tuple[IntVec, ...], need: int) -> tuple:
+def _kept_children(rest: tuple[IntVec, ...], need: int, ints: dict) -> tuple:
     """The companion side of a pivot enumeration in the flat form the
-    MemoCache keeps: for each child with a nonzero count, in order of first
-    appearance, the product of its struck slot primes, its struck vectors and
-    its signed count, all in one tuple."""
-    flat = []
+    MemoCache keeps: need, and then for each child with a nonzero count, in
+    order of first appearance, the product of its struck slot primes,
+    interned in ints, its struck vectors and its signed count, all in one
+    tuple."""
+    intern = ints.setdefault
+    flat = [need]
     for ids, (coeff, chain) in _pivot_children(rest, need, 1).items():
         if coeff:
-            flat.append(ids)
+            flat.append(intern(ids, ids))
             flat += _child_vectors(chain)
             flat.append(coeff)
     return tuple(flat)
@@ -377,7 +418,8 @@ def _child_vectors(chain) -> tuple[IntVec, ...]:
 
 def _widest_first(vectors: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
     """The spec with its first vector of the widest entry spread moved to the
-    pivot slot (permutation symmetry)."""
+    pivot slot (permutation symmetry); vectors itself when that is its
+    first."""
     spreads = [v[0] - v[-1] for v in vectors]
     widest = spreads.index(max(spreads))
     if widest:
@@ -385,73 +427,100 @@ def _widest_first(vectors: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
     return vectors
 
 
-def _evaluate(vectors: tuple[IntVec, ...], key, cache: MemoCache) -> int:
+def _evaluate(vectors: tuple[IntVec, ...], key, first_id, cache: MemoCache) -> int:
     """Value of a spec of dimension n >= 2 that missed the memo under key, by
-    its pivot sum, stored there before it is returned.
+    its pivot sum, stored there before it is returned. first_id is the prime
+    of vectors[0], or None when it is not known.
 
     The spec's weight is not checked: the top-level one is, and pivot
     children and split blocks of a spec of the right weight have the right
     weight.
     """
-    value = _pivot_sum(_widest_first(vectors), len(vectors) // 2, len(vectors[0]), cache)
+    pivoted = _widest_first(vectors)
+    if pivoted is not vectors:
+        first_id = None
+    value = _pivot_sum(pivoted, first_id, key, cache)
     cache.put(key, value)
     return value
 
 
-def _pivot_sum(vectors: tuple[IntVec, ...], half: int, n: int, cache: MemoCache) -> int:
-    """Signed sum of the values of the i_1 = 1 pivot children.
+_LAST = itemgetter(-1)
+
+
+def _pivot_sum(vectors: tuple[IntVec, ...], first_id, key, cache: MemoCache) -> int:
+    """Signed sum of the values of the i_1 = 1 pivot children of a spec whose
+    memo key is key and whose first vector's prime is first_id (None when not
+    known).
 
     Each child's key is probed here, and the child's vectors are built only
-    on a miss. The companion side of the enumeration depends only on the
-    sorted companions and need, and the pivot's child is the same for every
-    child, so a child's key is the product of its struck companion primes
-    times the pivot child's prime. While the returns to (companions, need)
-    pairs number at most half the pairs held, the first sight of a pair
-    enumerates from that prime and leaves a marker in cache.pivots, and the
-    second keeps the companion side there; beyond that, the first sight
-    keeps it at once. Later sights reuse it.
+    on a miss. The companion side of the enumeration is fixed, up to a shift
+    of each struck vector, by the companions' primes and the shifted need,
+    need less the companions' offsets, and the pivot's child is the same for
+    every child, so a child's key is the product of its struck companion
+    primes times the pivot child's prime. While the returns to such pairs
+    number at most half the pairs held, the first sight of a pair enumerates
+    from that prime and leaves a marker in cache.pivots, and the second
+    keeps the companion side there; beyond that, the first sight keeps it at
+    once. Later sights reuse it.
     """
     first = vectors[0]
+    n = len(first)
+    half = len(vectors) // 2
     need = (2 * half - 1) * n - first[-1]
-    rest = tuple(sorted(vectors[1:]))
     if n == 2:
         # children of dimension 1 are worth 1 and never touch the memo
+        rest = tuple(sorted(vectors[1:]))
         return sum(coeff for coeff, _ in _pivot_children(rest, need, 1).values())
+    if first_id is None:
+        first_id = _slot(first)
+    pivot_id = _head(first_id, first)
     drop = 2 * (half - 1)
-    child_first = tuple([x - drop for x in first[:-1]])
-    pivot_id = _slot(child_first)
     get = cache.get
     value = 0
+    # the companions' primes times the prime of the vector (shifted need, 0),
+    # which no companion can be: a pivot sum's vectors have n >= 3 entries
+    shifted = (2 * half - 1) * n - sum(map(_LAST, vectors))
+    pivot_key = key // first_id * _slot((shifted, 0))
     # one hash of the companion key: setdefault leaves the marker on a first
     # sight, and the size of the dict tells whether it did
     pivots = cache.pivots
     size = len(pivots)
-    pivot_key = (rest, need)
     kept = pivots.setdefault(pivot_key, None)
     if len(pivots) == size:
         cache.returns += 1
     elif 2 * cache.returns <= size:
         # few pairs come back so far: enumerate once with the pivot child's
         # id and leave the marker
+        child_first = tuple([x - drop for x in first[:-1]])
+        rest = tuple(sorted(vectors[1:]))
         for child_key, (coeff, chain) in _pivot_children(rest, need, pivot_id).items():
             if not coeff:
                 continue
             sub = get(child_key)
             if sub is None:
                 child = (child_first,) + _child_vectors(chain)
-                sub = _evaluate(child, child_key, cache)
+                sub = _evaluate(child, child_key, pivot_id, cache)
             if sub:
                 value += coeff * sub
         return value
     if kept is None:
-        kept = pivots[pivot_key] = _kept_children(rest, need)
-    width = len(rest)
-    for at in range(0, len(kept), width + 2):
+        rest = tuple(sorted(vectors[1:]))
+        kept = pivots[pivot_key] = _kept_children(rest, need, cache.ints)
+    # the kept side may have been enumerated from companions that differ from
+    # these by a shift of each vector; the shifts add up to need - kept[0],
+    # and shifting the pivot child's first vector by that sum instead leaves
+    # each child's tensor unchanged
+    lower = drop - need + kept[0]
+    child_first = None
+    width = len(vectors) - 1
+    for at in range(1, len(kept), width + 2):
         child_key = kept[at] * pivot_id
         sub = get(child_key)
         if sub is None:
+            if child_first is None:
+                child_first = tuple([x - lower for x in first[:-1]])
             child = (child_first,) + kept[at + 1 : at + 1 + width]
-            sub = _evaluate(child, child_key, cache)
+            sub = _evaluate(child, child_key, pivot_id, cache)
         if sub:
             value += kept[at + 1 + width] * sub
     return value
@@ -477,7 +546,7 @@ def _lookup(vectors: tuple[IntVec, ...], cache: MemoCache, factorize: bool) -> i
             value = sign * lval * _lookup(right, cache, factorize) if lval else 0
             cache.put(key, value)
             return value
-    return _evaluate(vectors, key, cache)
+    return _evaluate(vectors, key, None, cache)
 
 
 def evaluate(

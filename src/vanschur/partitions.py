@@ -16,6 +16,44 @@ from typing import Iterable, Iterator
 IntVec = tuple[int, ...]
 
 
+class Frozen:
+    """Base of the package's small value classes, in place of frozen
+    dataclasses, whose module costs every process `inspect` at start-up; it
+    lives here because every module that defines one imports this one.
+
+    The fields are the subclass's __slots__, in order; __init__ sets each
+    once through object.__setattr__, and assignment afterwards raises.
+    Instances compare and hash as the tuple of their fields, and pickle as
+    a call of the class on them.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 def as_decreasing(entries: Iterable[int]) -> IntVec:
     """Validate and freeze a weakly decreasing integer vector."""
     v = tuple(map(int, entries))

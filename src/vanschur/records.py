@@ -16,11 +16,10 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from operator import ge
 from typing import Iterable, Iterator
 
-from .partitions import IntVec, as_partition, enumerate_admissible
+from .partitions import Frozen, IntVec, as_partition, enumerate_admissible
 
 
 # what record_to_jsonl writes for a coefficient and record_to_csv for every
@@ -32,31 +31,36 @@ _JSON = json.JSONDecoder()
 _JSON_SPACE = " \t\n\r"
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    n: int
-    k: int
-    lam: IntVec
-    coeff: int
+class ResultRecord(Frozen):
+    """One coefficient of a table: lam, padded to n parts, and its value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_partition(self.lam, self.n))
+    __slots__ = ("n", "k", "lam", "coeff")
+
+    def __init__(self, n: int, k: int, lam: IntVec, coeff: int):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "k", k)
+        init(self, "lam", as_partition(lam, n))
+        init(self, "coeff", coeff)
 
 
-@dataclass(frozen=True)
-class ShardManifest:
-    n: int
-    k: int
-    shards: int
-    index: int
-    count: int
-    checksum: str
+class ShardManifest(Frozen):
+    """First line of a shard file: which slice of which table it holds."""
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"n and k must be positive, got n={self.n}, k={self.k}")
-        if not 0 <= self.index < self.shards:
-            raise ValueError(f"shard index {self.index} outside 0..{self.shards - 1}")
+    __slots__ = ("n", "k", "shards", "index", "count", "checksum")
+
+    def __init__(self, n: int, k: int, shards: int, index: int, count: int, checksum: str):
+        if n < 1 or k < 1:
+            raise ValueError(f"n and k must be positive, got n={n}, k={k}")
+        if not 0 <= index < shards:
+            raise ValueError(f"shard index {index} outside 0..{shards - 1}")
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "k", k)
+        init(self, "shards", shards)
+        init(self, "index", index)
+        init(self, "count", count)
+        init(self, "checksum", checksum)
 
 
 def record_from_fields(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
@@ -69,7 +73,11 @@ def record_from_fields(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
     if len(lam) < n:
         lam += (0,) * (n - len(lam))
     record = object.__new__(ResultRecord)
-    object.__setattr__(record, "__dict__", {"n": n, "k": k, "lam": lam, "coeff": coeff})
+    init = object.__setattr__
+    init(record, "n", n)
+    init(record, "k", k)
+    init(record, "lam", lam)
+    init(record, "coeff", coeff)
     return record
 
 

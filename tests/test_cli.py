@@ -580,6 +580,63 @@ def test_merge_loads_neither_engine_nor_oracles(tmp_path, capsys):
     assert merged.read_bytes() == direct.read_bytes()
 
 
+# what a frozen dataclass costs every process at start-up, `inspect` most of
+# it: no package module loads either
+STARTUP_MODULES = ("dataclasses", "inspect")
+REPORT_STARTUP = f"print(sorted(m for m in {STARTUP_MODULES!r} if m in sys.modules))"
+
+
+def test_importing_cli_and_coefficients_loads_no_dataclasses():
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, vanschur.cli, vanschur.coefficients; {REPORT_STARTUP}"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_expand_loads_no_dataclasses(tmp_path):
+    out = tmp_path / "e.jsonl"
+    # `python -m vanschur expand --n 4 --k 1`, reporting what it loaded
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('vanschur', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"{REPORT_STARTUP}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "expand", "--n", "4", "--k", "1", "--out", str(out)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(out.read_text().splitlines()) == 16
+
+
+def test_run_tables_exits_quietly_with_141_on_a_closed_pipe():
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
+    # the (10,1) and (11,1) counts take about a second, so rows are still to
+    # come when the reader leaves after the header
+    with subprocess.Popen(
+        [sys.executable, script, "--counts-only", "--nmax-k1", "11"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+    assert first.split() == [b"k", b"n", b"admissible", b"vanishing", b"seconds"]
+    assert err == b""
+    assert code == 141
+
+
 def test_run_tables_rejects_zero_jobs():
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
     proc = subprocess.run(

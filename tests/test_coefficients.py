@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from vanschur.coefficients import (
     g_coefficient,
     g_coefficients,
 )
-from vanschur.delta_engine import MemoCache
+from vanschur.delta_engine import MemoCache, _slot
 from vanschur.oracle import schur_expansion_bruteforce
 from vanschur.partitions import enumerate_admissible, is_admissible
 
@@ -159,23 +160,24 @@ def test_memo_traffic_of_g_coefficients_is_pinned(monkeypatch, n, k, misses, hit
 @pytest.mark.parametrize(
     "lams, n, k, calls, first_sights, markers",
     [
-        (None, 7, 1, 1008, 1004, 7),
-        ([(10, 10, 10, 10, 10, 10)], 6, 2, 1180, 1175, 1175),
+        (None, 7, 1, 941, 935, 7),
+        ([(10, 10, 10, 10, 10, 10)], 6, 2, 1180, 1066, 1066),
     ],
 )
 def test_pivot_enumerations_of_g_coefficients_are_pinned(
     monkeypatch, lams, n, k, calls, first_sights, markers
 ):
-    # a first sight of (companions, need) that leaves a marker enumerates
-    # from the pivot child's prime (ids != 1), and a second sight keeps the
-    # companion side; once most sights are returns, a first sight keeps it
-    # at once, and such a pair is never enumerated again. A cold coefficient
-    # stays on markers.
+    # a pair is the companions up to a shift of each and need less their
+    # offsets, as the engine keys it. A first sight of a pair that leaves a
+    # marker enumerates from the pivot child's prime (ids != 1), and a second
+    # sight keeps the companion side; once most sights are returns, a first
+    # sight keeps it at once, and such a pair is never enumerated again.
     enumerations: dict = {}
 
     def recording(rest, need, ids):
         if len(rest[0]) > 2:
-            enumerations.setdefault((rest, need), []).append(ids != 1)
+            pair = (math.prod(map(_slot, rest)), need - sum(v[-1] for v in rest))
+            enumerations.setdefault(pair, []).append(ids != 1)
         return pivot_children(rest, need, ids)
 
     pivot_children = delta_engine._pivot_children

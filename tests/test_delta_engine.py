@@ -5,7 +5,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from conftest import (
@@ -137,20 +137,22 @@ def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
     assert children > 1000 and blocks > 100
 
 
-def probed_children(pivoted, half, n, cache, monkeypatch):
+def probed_children(pivoted, cache, monkeypatch):
     """(key, signed count, vectors) of each child _pivot_sum probes, in order.
 
     The memo misses every child, and each child is worth a distinct power of
-    2**64, so the signed sum _pivot_sum returns spells out every count."""
+    2**64, so the signed sum _pivot_sum returns spells out every count. Each
+    child must come with the prime of its first vector."""
     seen = []
 
-    def record(child, child_key, cache):
+    def record(child, child_key, first_id, cache):
+        assert first_id == _slot(child[0])
         seen.append((child_key, child))
         return 1 << (64 * len(seen))
 
     with monkeypatch.context() as patch:
         patch.setattr(delta_engine, "_evaluate", record)
-        total = _pivot_sum(pivoted, half, n, cache) >> 64
+        total = _pivot_sum(pivoted, None, _memo_key(pivoted), cache) >> 64
     children = []
     for child_key, child in seen:
         count = total & ((1 << 64) - 1)
@@ -174,14 +176,72 @@ def test_kept_companion_side_gives_the_children_of_the_first_sight(n, k, monkeyp
             continue
         for pivoted in pivotings(sub):
             cache = MemoCache()
-            cold = probed_children(pivoted, sub.half, sub.n, cache, monkeypatch)
+            cold = probed_children(pivoted, cache, monkeypatch)
             assert len(cache.pivots) == 1 and None in cache.pivots.values()
             for _ in range(2):
-                warm = probed_children(pivoted, sub.half, sub.n, cache, monkeypatch)
+                warm = probed_children(pivoted, cache, monkeypatch)
                 assert warm == cold
             assert None not in cache.pivots.values()
             compared += len(cold)
     assert compared > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weighted_delta_specs(max_n=4, max_half=2),
+    st.integers(0, 3),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_companions_equal_up_to_shifts_share_one_kept_side(spec, pivot, shifts):
+    # a zero-sum shift of the slots leaves the tensor and the shifted need
+    # as they are: the second sight keeps the shifted companions' side, and
+    # the third, with the first sight's companions, reuses it, building each
+    # child from the kept vectors and a shifted first vector
+    assume(spec.n >= 3)
+    vecs = spec.vectors
+    j = pivot % len(vecs)
+    pivoted = (vecs[j],) + vecs[:j] + vecs[j + 1 :]
+    shifts = shifts[: len(vecs) - 1]
+    moved = (tuple(x - sum(shifts) for x in pivoted[0]),) + tuple(
+        tuple(x + m for x in v) for v, m in zip(pivoted[1:], shifts)
+    )
+    cache = MemoCache()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sights = [
+            probed_children(sight, cache, monkeypatch)
+            for sight in (pivoted, moved, pivoted)
+        ]
+    assert len(cache.pivots) == 1 and cache.returns == 2
+    fresh = {key: (count, child) for key, count, child in sights[0]}
+    for sight in sights[1:]:
+        assert {key: count for key, count, _ in sight} == {
+            key: count for key, (count, _) in fresh.items()
+        }
+        for key, _, child in sight:
+            dense = det_direct(materialize(DeltaSpec(child)))
+            assert dense == det_direct(materialize(DeltaSpec(fresh[key][1])))
+    want = det_direct(materialize(spec))
+    assert evaluate(DeltaSpec(moved)) == evaluate(DeltaSpec(pivoted)) == want
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (5, 2)])
+def test_a_table_memo_holds_one_object_per_int(n, k):
+    # equal memo values, and equal child products in the kept companion
+    # sides, are one object each; both repeat many times
+    cache = MemoCache()
+    for lam in enumerate_admissible(n, k):
+        g_coefficient(lam, n, k, cache)
+    stride = 2 * k + 3  # a product, 2k+1 struck vectors and a count
+    products = [
+        kept[at]
+        for kept in cache.pivots.values()
+        if kept is not None
+        for at in range(1, len(kept), stride)
+    ]
+    values = list(cache._data.values())
+    for ints in (products, values):
+        assert len(ints) > 2 * len(set(ints))
+        assert len({id(x) for x in ints}) == len(set(ints))
 
 
 def test_pivot_tuples_worked_tensor():
@@ -534,14 +594,15 @@ def test_memo_traffic_of_a_cold_coefficient_is_pinned(lam, n, k, value, misses, 
 @pytest.mark.parametrize(
     "lams, n, k, kept, seen",
     [
-        (None, 7, 1, 1380, 1383),
-        ([(10, 10, 10, 10, 10, 10)], 6, 2, 5, 1175),
+        (None, 7, 1, 1264, 1266),
+        ([(10, 10, 10, 10, 10, 10)], 6, 2, 114, 1066),
     ],
 )
 def test_kept_companion_results_are_pinned(lams, n, k, kept, seen):
-    # a table comes back to most (companions, need) it sees, so it soon
-    # keeps a pair's companion side on its first sight; a cold coefficient
-    # comes back to few, and keeps only those that come back
+    # a table comes back to most pairs it sees, a pair being the companions
+    # up to a shift of each and need less their offsets, so it soon keeps a
+    # pair's companion side on its first sight; a cold coefficient comes back
+    # to few, and keeps only those that come back
     cache = MemoCache()
     for lam in enumerate_admissible(n, k) if lams is None else lams:
         g_coefficient(lam, n, k, cache)
@@ -592,8 +653,8 @@ def test_slot_ids_stay_distinct_under_threads():
 
 
 def test_shifted_copies_take_no_new_slot_id():
-    # a shifted copy of an interned vector is a functools.cache miss of
-    # _slot but no new slot: the next new vector must take the next prime
+    # a shifted copy of an interned vector is no new slot: the next new
+    # vector must take the next prime
     base = _slot((3 * 10**6, 5, 0))
     assert _slot((3 * 10**6 + 7, 12, 7)) == base
     assert _slot((3 * 10**6 - 2, 3, -2)) == base
