@@ -18,7 +18,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .partitions import count_admissible, enumerate_admissible, is_admissible
+from .partitions import count_admissible, enumerate_admissible, is_admissible, pair_class
 from .records import (
     ResultRecord,
     ShardManifest,
@@ -166,7 +166,11 @@ def cmd_shard(args) -> int:
     from .coefficients import g_coefficients
 
     lams = list(enumerate_admissible(args.n, args.k))
-    mine = lams[args.index :: args.shards]
+    mine = lams
+    if args.shards > 1:
+        # both members of a complement pair share a class, so the shard folds
+        # every pair it holds
+        mine = [lam for lam in lams if pair_class(lam, args.n, args.k, args.shards) == args.index]
     manifest = ShardManifest(
         n=args.n,
         k=args.k,
@@ -274,13 +278,19 @@ def cmd_merge(args) -> int:
               file=sys.stderr)
         return VERIFY_EXIT
 
-    merged: list[ResultRecord | None] = [None] * held
-    for j, got in shard_records.items():
-        if [r.lam for r in got] != lams[j::ref.shards]:
-            print(f"merge failure: shard {j} does not match the canonical enumeration",
-                  file=sys.stderr)
-            return VERIFY_EXIT
-        merged[j::ref.shards] = got
+    # one walk of the enumeration draws each position's record from the shard
+    # of its class; a shard that runs short leaves None
+    merged: list[ResultRecord | None] = shard_records[0]
+    if ref.shards > 1:
+        draws = [iter(shard_records[j]) for j in range(ref.shards)]
+        merged = [next(draws[pair_class(lam, ref.n, ref.k, ref.shards)], None) for lam in lams]
+    placed = [r and r.lam for r in merged]
+    if placed != lams:
+        pos = next(i for i, (a, b) in enumerate(zip(placed, lams)) if a != b)
+        j = pair_class(lams[pos], ref.n, ref.k, ref.shards)
+        print(f"merge failure: shard {j} does not match the canonical enumeration",
+              file=sys.stderr)
+        return VERIFY_EXIT
 
     with _output(args.out) as out:
         out.writelines(write_records(merged, args.format))

@@ -163,5 +163,25 @@ def enumerate_admissible(n: int, k: int) -> Iterator[IntVec]:
         i += 1
 
 
+def pair_class(lam: IntVec, n: int, k: int, classes: int) -> int:
+    """Which of `classes` workers or shards takes lam, an admissible partition
+    padded to n parts: with mu the smaller of lam and its complement,
+    ((mu_1 + mu_3) mod 2 + 2 floor(mu_1 / 2)) mod classes, where mu_3 = 0 when
+    n < 3. For two classes it is the parity of mu_1 + mu_3.
+
+    Both members of a complement pair get one class, and so, mostly, do
+    coefficients that share subproblems: a pivot slot drops by 2k per level,
+    so the parities of its leading entries carry into what it spawns. The
+    complement is built only when the two leading entries tie.
+    """
+    top = 2 * k * (n - 1)
+    first, last = lam[0], top - lam[-1]
+    if first > last or (first == last and lam > tuple(top - x for x in reversed(lam))):
+        first, third = last, (top - lam[-3] if n > 2 else 0)
+    else:
+        third = lam[2] if n > 2 else 0
+    return ((first + third) % 2 + 2 * (first // 2)) % classes
+
+
 def count_admissible(n: int, k: int) -> int:
     return sum(1 for _ in enumerate_admissible(n, k))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from operator import ge
 from typing import Iterable, Iterator
 
@@ -44,16 +45,24 @@ class ResultRecord(Frozen):
         init(self, "coeff", coeff)
 
 
+# how `shard` cuts a table: shard j of S holds the admissible partitions whose
+# partitions.pair_class for S classes is j, in enumeration order
+LAYOUT = "pair-class"
+
+
 class ShardManifest(Frozen):
     """First line of a shard file: which slice of which table it holds."""
 
-    __slots__ = ("n", "k", "shards", "index", "count", "checksum")
+    __slots__ = ("n", "k", "shards", "index", "count", "checksum", "layout")
 
-    def __init__(self, n: int, k: int, shards: int, index: int, count: int, checksum: str):
+    def __init__(self, n: int, k: int, shards: int, index: int, count: int, checksum: str,
+                 layout: str = LAYOUT):
         if n < 1 or k < 1:
             raise ValueError(f"n and k must be positive, got n={n}, k={k}")
         if not 0 <= index < shards:
             raise ValueError(f"shard index {index} outside 0..{shards - 1}")
+        if layout != LAYOUT:
+            raise ValueError(f"unknown shard layout {layout!r}, this version writes {LAYOUT!r}")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "k", k)
@@ -61,6 +70,7 @@ class ShardManifest(Frozen):
         init(self, "index", index)
         init(self, "count", count)
         init(self, "checksum", checksum)
+        init(self, "layout", layout)
 
 
 def record_from_fields(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
@@ -177,13 +187,24 @@ def enumeration_checksum(n: int, k: int, lams: Iterable[IntVec] | None = None) -
     """Digest of the canonical admissible enumeration for (n, k), or of lams,
     tuples of n ints, in its place when they are given. The text hashed is
     "n k" and then each partition's parts joined by spaces, one line each."""
-    # imported here: only shard and merge take a checksum
-    import hashlib
-
     line = " ".join(["%s"] * n) + "\n"
     lams = enumerate_admissible(n, k) if lams is None else lams
     text = f"{n} {k}\n" + "".join([line % lam for lam in lams])
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256()(text.encode()).hexdigest()
+
+
+def _sha256():
+    """The interpreter's built-in SHA-256: hashlib would map OpenSSL into the
+    process (3.5 MB of RSS and 5 ms of import) for the one digest that shard
+    and merge take. Imported when called, since nothing else hashes."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
+    return sha256
 
 
 def manifest_to_jsonl(m: ShardManifest) -> str:
@@ -195,6 +216,7 @@ def manifest_to_jsonl(m: ShardManifest) -> str:
             "index": m.index,
             "count": m.count,
             "checksum": m.checksum,
+            "layout": m.layout,
         }
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -205,6 +227,9 @@ def manifest_from_jsonl(line: str) -> ShardManifest:
     if "manifest" not in obj:
         raise ValueError("shard file does not start with a manifest line")
     m = obj["manifest"]
+    if "layout" not in m:
+        raise ValueError("manifest has no layout; shards cut at positions j mod S "
+                         "cannot be merged, run shard again")
     return ShardManifest(
         n=_json_int(m["n"], "n"),
         k=_json_int(m["k"], "k"),
@@ -212,4 +237,5 @@ def manifest_from_jsonl(line: str) -> ShardManifest:
         index=_json_int(m["index"], "index"),
         count=_json_int(m["count"], "count"),
         checksum=str(m["checksum"]),
+        layout=m["layout"],
     )

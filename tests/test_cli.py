@@ -13,6 +13,7 @@ from vanschur import cli
 from vanschur.cli import main
 from vanschur.records import (
     ResultRecord,
+    enumeration_checksum,
     read_records,
     record_from_csv,
     record_from_jsonl,
@@ -209,7 +210,8 @@ def test_merge_cost_ignores_a_claimed_n(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.jsonl").exists()
 
 
-ABSURD_MANIFEST = '{"manifest":{"n":1000000000,"k":1,"shards":1,"index":0,"count":%d,"checksum":"x"}}'
+ABSURD_MANIFEST = ('{"manifest":{"n":1000000000,"k":1,"shards":1,"index":0,"count":%d,'
+                   '"checksum":"x","layout":"pair-class"}}')
 
 
 @pytest.mark.parametrize(
@@ -302,7 +304,7 @@ def test_merge_enumerates_no_more_than_the_shards_can_hold(
     monkeypatch.setattr(cli, "enumerate_admissible", bounded)
     monkeypatch.setattr("vanschur.records.enumerate_admissible", bounded)
     manifest = {"n": 40, "k": 1, "shards": shards, "index": 0, "count": count,
-                "checksum": "x"}
+                "checksum": "x", "layout": "pair-class"}
     records = [ResultRecord(n=40, k=1, lam=lam, coeff=1)] * count
     path = tmp_path / "s.jsonl"
     path.write_text(
@@ -407,7 +409,8 @@ def test_merge_decodes_only_integers(tmp_path, capsys, lineno, old, new):
 
 @pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (-2, 1)])
 def test_merge_refuses_a_manifest_with_nonpositive_n_or_k(tmp_path, capsys, n, k):
-    manifest = {"n": n, "k": k, "shards": 1, "index": 0, "count": 0, "checksum": "x"}
+    manifest = {"n": n, "k": k, "shards": 1, "index": 0, "count": 0, "checksum": "x",
+                "layout": "pair-class"}
     path = tmp_path / "s.jsonl"
     path.write_text(json.dumps({"manifest": manifest}) + "\n")
     code, _, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
@@ -436,6 +439,112 @@ def test_merge_rejects_tampered_records(tmp_path, capsys):
     )
     assert code == 2
     assert "shard 0" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda line: line.replace(',"layout":"pair-class"', ""),
+                     "manifest has no layout", id="missing"),
+        pytest.param(lambda line: line.replace('"layout":"pair-class"', '"layout":"j-mod-S"'),
+                     "unknown shard layout 'j-mod-S'", id="unknown"),
+        pytest.param(lambda line: line.replace('"layout":"pair-class"', '"layout":7'),
+                     "unknown shard layout 7", id="not-a-string"),
+    ],
+)
+def test_merge_refuses_a_missing_or_unknown_layout(tmp_path, capsys, edit, message):
+    paths = _write_shards(tmp_path, capsys, 4, 1, 2)
+    lines = paths[1].read_text().splitlines()
+    lines[0] = edit(lines[0])
+    paths[1].write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        ["merge", *map(str, paths), "--out", str(tmp_path / "m.jsonl")], capsys
+    )
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"merge failure: {paths[1]}:1: ValueError: {message}")
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize("layout", [None, "pair-class"])
+def test_merge_refuses_shards_cut_at_positions_j_mod_s(tmp_path, capsys, layout):
+    # the shards of earlier versions: shard j of S held the positions j mod S,
+    # under a manifest with no layout. With the layout forged in, the walk
+    # finds the records out of place
+    n, k, shards = 5, 1, 2
+    direct = tmp_path / "direct.jsonl"
+    assert run_cli(["expand", "--n", str(n), "--k", str(k), "--out", str(direct)], capsys)[0] == 0
+    table = direct.read_text().splitlines()
+    checksum = enumeration_checksum(n, k)
+    paths = []
+    for j in range(shards):
+        mine = table[j::shards]
+        manifest = {"n": n, "k": k, "shards": shards, "index": j, "count": len(mine),
+                    "checksum": checksum}
+        if layout is not None:
+            manifest["layout"] = layout
+        path = tmp_path / f"old{j}.jsonl"
+        path.write_text("".join(line + "\n" for line in [json.dumps({"manifest": manifest}), *mine]))
+        paths.append(path)
+    code, _, err = run_cli(["merge", *map(str, paths), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    if layout is None:
+        assert err.startswith(f"merge failure: {paths[0]}:1: ValueError: manifest has no layout")
+    else:
+        assert err.startswith("merge failure: shard ")
+        assert err.endswith(" does not match the canonical enumeration\n")
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+SHARDED_CELLS = [(1, 1), (2, 3), (3, 2), (4, 1), (4, 3), (5, 2), (6, 1)]
+
+
+@pytest.mark.parametrize("n, k", SHARDED_CELLS)
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_shards_partition_the_table_and_keep_complement_pairs_together(
+    tmp_path, capsys, n, k, shards
+):
+    direct = tmp_path / "direct.jsonl"
+    assert run_cli(["expand", "--n", str(n), "--k", str(k), "--out", str(direct)], capsys)[0] == 0
+    lams = [tuple(json.loads(line)["lambda"]) for line in direct.read_text().splitlines()]
+    paths = _write_shards(tmp_path, capsys, n, k, shards)
+    shard_of = {}
+    for j, path in enumerate(paths):
+        held = [tuple(json.loads(line)["lambda"]) for line in path.read_text().splitlines()[1:]]
+        # each shard holds its positions in enumeration order
+        in_shard = set(held)
+        assert held == [lam for lam in lams if lam in in_shard]
+        for lam in held:
+            assert shard_of.setdefault(lam, j) == j
+    assert sorted(shard_of) == sorted(lams)
+    top = 2 * k * (n - 1)
+    assert all(shard_of[tuple(top - x for x in reversed(lam))] == j
+               for lam, j in shard_of.items())
+    merged = tmp_path / "merged.jsonl"
+    assert run_cli(["merge", *map(str, paths), "--out", str(merged)], capsys)[0] == 0
+    assert merged.read_bytes() == direct.read_bytes()
+
+
+def test_shard_and_merge_load_no_openssl(tmp_path):
+    # the checksum uses the interpreter's own SHA-256; hashlib would load
+    # _hashlib, and with it OpenSSL
+    script = (
+        "import sys\n"
+        "from vanschur.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    paths = [tmp_path / f"s{j}.jsonl" for j in range(2)]
+    commands = [["shard", "--n", "5", "--k", "1", "--shards", "2", "--index", str(j),
+                 "--out", str(path)] for j, path in enumerate(paths)]
+    commands.append(["merge", *map(str, paths), "--out", str(tmp_path / "m.jsonl")])
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-c", script, *command],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", command[0]
 
 
 records_strategy = st.builds(

@@ -15,7 +15,7 @@ from vanschur.coefficients import (
 )
 from vanschur.delta_engine import MemoCache, _slot
 from vanschur.oracle import schur_expansion_bruteforce
-from vanschur.partitions import enumerate_admissible, is_admissible
+from vanschur.partitions import enumerate_admissible, is_admissible, pair_class
 
 
 def test_single_coefficients():
@@ -103,7 +103,7 @@ def test_complement_identity_over_whole_tables(n, k):
 
 
 class InlinePool:
-    """A process pool that runs its stripes here, one after the other."""
+    """A process pool that runs its jobs here, one after the other."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -133,9 +133,33 @@ def test_each_complement_class_is_evaluated_once(monkeypatch, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     values = g_coefficients(lams, n, k, workers)
     distinct = list(dict.fromkeys(min(lam, complement(lam, n, k)) for lam in lams))
-    # stripe j of W takes distinct members j, j+W, ...
-    assert calls == [lam for j in range(workers) for lam in distinct[j::workers]]
+    # worker j of W takes the distinct members of class j, in order
+    assert calls == [
+        lam for j in range(workers) for lam in distinct if pair_class(lam, n, k, workers) == j
+    ]
     assert values == [g_coefficient(lam, n, k) for lam in lams]
+
+
+@pytest.mark.parametrize(
+    "n, k, misses", [(7, 1, 4889), (5, 2, 1639), (4, 3, 499)],
+)
+def test_memo_misses_summed_over_two_workers_are_pinned(monkeypatch, n, k, misses):
+    # members that share subproblems share a class, so two workers miss
+    # little more than one serial memo (4181, 1477 and 440); giving member j
+    # to worker j mod 2 missed 5669, 1906 and 570 times
+    caches = []
+
+    class Recorded(MemoCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(coefficients, "MemoCache", Recorded)
+    monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    g_coefficients(list(enumerate_admissible(n, k)), n, k, 2)
+    assert len(caches) == 2
+    assert sum(c.misses for c in caches) == misses
 
 
 @pytest.mark.parametrize(

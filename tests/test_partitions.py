@@ -11,6 +11,7 @@ from vanschur.partitions import (
     count_admissible,
     enumerate_admissible,
     is_admissible,
+    pair_class,
 )
 
 
@@ -158,3 +159,18 @@ def test_as_partition_validation():
         as_partition((1, -1))
     with pytest.raises(ValueError):
         as_partition((1, 1, 1), 2)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 2), (5, 1), (6, 1), (4, 3)])
+def test_pair_class_is_that_of_the_smaller_complement_member(n, k):
+    # both members of a pair, the self-complementary ones included, get the
+    # class of the lexicographically smaller one
+    top = 2 * k * (n - 1)
+    for lam in enumerate_admissible(n, k):
+        comp = tuple(top - x for x in reversed(lam))
+        mu = min(lam, comp)
+        third = mu[2] if n > 2 else 0
+        assert pair_class(lam, n, k, 2) == pair_class(comp, n, k, 2) == (mu[0] + third) % 2
+        for classes in (1, 3, 4):
+            want = ((mu[0] + third) % 2 + 2 * (mu[0] // 2)) % classes
+            assert pair_class(lam, n, k, classes) == pair_class(comp, n, k, classes) == want

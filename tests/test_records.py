@@ -15,9 +15,14 @@ from reference import (
     record_to_csv_reference,
     record_to_jsonl_reference,
 )
+from vanschur import records as records_module
 from vanschur.records import (
+    LAYOUT,
     ResultRecord,
+    ShardManifest,
     enumeration_checksum,
+    manifest_from_jsonl,
+    manifest_to_jsonl,
     record_from_csv,
     record_from_jsonl,
     record_to_csv,
@@ -191,10 +196,24 @@ def test_jsonl_keeps_what_json_loads_accepts():
         assert type(record.lam) is tuple
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (5, 2), (8, 1)])
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (4, 1), (5, 2), (8, 1)])
 def test_checksum_matches_one_update_per_partition(n, k):
     lams = list(enumerate_admissible_reference(n, k))
     want = enumeration_checksum_reference(n, k, lams)
     assert enumeration_checksum(n, k) == want
     assert enumeration_checksum(n, k, lams) == want
     assert enumeration_checksum(n, k, []) == enumeration_checksum_reference(n, k, [])
+
+
+def test_checksum_is_the_built_in_sha256():
+    # the interpreter's own module, so that shard and merge load no OpenSSL;
+    # the digest is hashlib's (test_checksum_matches_one_update_per_partition)
+    assert records_module._sha256().__module__ in ("_sha2", "_sha256")
+
+
+def test_manifest_layout_round_trips_and_defaults():
+    manifest = ShardManifest(n=3, k=1, shards=2, index=1, count=3, checksum="x")
+    assert manifest.layout == LAYOUT
+    line = manifest_to_jsonl(manifest)
+    assert json.loads(line)["manifest"]["layout"] == LAYOUT
+    assert manifest_from_jsonl(line) == manifest
