@@ -4,8 +4,10 @@
 The default grid takes about 4.5 s in all, serial, on a 2-vCPU Xeon VM with
 Python 3.11; its largest cell, (5,4), takes 2.2 to 2.5 s. --nmax-k1 N runs
 the k=1 column up to n=N instead of n=8. On the same host a (9,1) table
-takes 3.5 to 5.5 s and a (10,1) table 38 to 46 s, at about 565 MB peak RSS,
-as the host's speed drifts from run to run; (11,1) is untried.
+takes 3.5 to 5.5 s and a (10,1) table 33 to 46 s, as the host's speed drifts
+from run to run; (11,1) is untried. Each cell is counted as its terms come,
+with no table held, so `--nmax-k1 10` peaks at about 535 MB RSS, the memo
+of (10,1) and what the cells before it interned.
 
 Examples:
     python scripts/run_tables.py

@@ -2,7 +2,13 @@
 verification, and deterministic file-based sharding.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure,
-141 (128 + SIGPIPE) when the reader of the output closes it early.
+3 out of memory, 141 (128 + SIGPIPE) when the reader of the output closes it
+early. Every command but merge refuses n or k outside 1..MAX_N and 1..MAX_K
+before it pads or enumerates anything.
+
+`expand` and `shard` write each record as soon as its value is known. To
+stdout, a failure therefore exits nonzero after a prefix of the records;
+--out replaces its target only when the whole table is written.
 
 Each command imports what it uses when it runs: `admissible` and `merge` load
 neither the engine nor the oracle, and only `verify` loads the oracle.
@@ -33,13 +39,28 @@ from .records import (
 
 USAGE_EXIT = 1
 VERIFY_EXIT = 2
+MEMORY_EXIT = 3
 PIPE_EXIT = 141
+
+# the largest cell taken: room beyond the (11,1) table and the (13,1)
+# rectangle, while n = 40, or k = 10^6 at n = 3, is refused before it is
+# padded to n parts or enumerated
+MAX_N = 16
+MAX_K = 16
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _check_cell(n: int, k: int) -> None:
+    if n < 1 or k < 1:
+        raise ValueError(f"n and k must be positive, got n={n}, k={k}")
+    if n > MAX_N or k > MAX_K:
+        raise ValueError(f"n={n}, k={k} is beyond the largest cell taken, "
+                         f"n <= {MAX_N} and k <= {MAX_K}")
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:
@@ -113,11 +134,12 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    from .coefficients import expand
+    from .coefficients import iter_terms
 
+    n, k = args.n, args.k
     with _output(args.out) as out:
-        exp = expand(args.n, args.k, workers=args.jobs)
-        records = (ResultRecord(n=args.n, k=args.k, lam=lam, coeff=g) for lam, g in exp)
+        terms = iter_terms(enumerate_admissible(n, k), n, k, args.jobs)
+        records = (ResultRecord(n=n, k=k, lam=lam, coeff=g) for lam, g in terms)
         out.writelines(write_records(records, args.format))
     return 0
 
@@ -163,29 +185,26 @@ def cmd_shard(args) -> int:
             f"error: index {args.index} outside 0..{args.shards - 1}", file=sys.stderr
         )
         return USAGE_EXIT
-    from .coefficients import g_coefficients
+    from .coefficients import iter_terms
 
-    lams = list(enumerate_admissible(args.n, args.k))
-    mine = lams
-    if args.shards > 1:
-        # both members of a complement pair share a class, so the shard folds
+    n, k, shards, index = args.n, args.k, args.shards, args.index
+    mine = []
+
+    def walk():
+        # the one pass that is hashed keeps the shard's own partitions; both
+        # members of a complement pair share a class, so the shard folds
         # every pair it holds
-        mine = [lam for lam in lams if pair_class(lam, args.n, args.k, args.shards) == args.index]
-    manifest = ShardManifest(
-        n=args.n,
-        k=args.k,
-        shards=args.shards,
-        index=args.index,
-        count=len(mine),
-        checksum=enumeration_checksum(args.n, args.k, lams),
-    )
+        for lam in enumerate_admissible(n, k):
+            if shards == 1 or pair_class(lam, n, k, shards) == index:
+                mine.append(lam)
+            yield lam
+
+    checksum = enumeration_checksum(n, k, walk())
+    manifest = ShardManifest(n=n, k=k, shards=shards, index=index, count=len(mine),
+                             checksum=checksum)
     with _output(args.out) as out:
-        values = g_coefficients(mine, args.n, args.k)
         out.write(manifest_to_jsonl(manifest) + "\n")
-        records = (
-            ResultRecord(n=args.n, k=args.k, lam=lam, coeff=coeff)
-            for lam, coeff in zip(mine, values)
-        )
+        records = (ResultRecord(n=n, k=k, lam=lam, coeff=g) for lam, g in iter_terms(mine, n, k))
         out.writelines(write_records(records, "jsonl"))
     return 0
 
@@ -361,6 +380,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
+        if args.command != "merge":
+            _check_cell(args.n, args.k)
         code = args.fn(args)
         # a reader that leaves early shows here at the latest, not in the
         # interpreter's exit flush
@@ -368,6 +389,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         return closed_pipe_exit()
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return MEMORY_EXIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

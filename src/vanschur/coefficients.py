@@ -13,7 +13,7 @@ members does (34,215 memo entries against 92,317 on the (8,1) table).
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .delta_engine import DeltaSpec, MemoCache, _split, evaluate
 from .partitions import (
@@ -69,10 +69,50 @@ def g_coefficient(
     return sign * evaluate(DeltaSpec.for_coefficient(lam, n, k), cache, factorize=factorize)
 
 
-def _group_values(args) -> list[int]:
-    lams, n, k = args
+def _pass(
+    lams: Iterable[IntVec], n: int, k: int, table: bool = False
+) -> Iterator[tuple[IntVec, int]]:
+    """(lam padded to n parts, its coefficient) for each of lams in turn, each
+    yielded as soon as its value is known, from one memo.
+
+    An admissible partition takes the value of its complement pair when the
+    pair is open; otherwise the pair's smaller member is evaluated and the
+    pair opens, so each distinct member is evaluated once, in order of first
+    appearance. Inadmissible partitions are 0, and a malformed one raises
+    when it is reached; every pair stays open to the end.
+
+    With table set, lams are distinct admissible partitions of n parts that
+    give the larger member of a pair before the smaller, as the reverse-lex
+    enumeration, a shard of it and a worker's smaller members do. They are
+    taken as they are, and a pair opens only at its larger member and closes
+    at its smaller.
+    """
+    top = 2 * k * (n - 1)
     cache = MemoCache()
-    return [g_coefficient(lam, n, k, cache) for lam in lams]
+    open_pairs: dict[IntVec, int] = {}
+    take = open_pairs.pop if table else open_pairs.get
+    for lam in lams:
+        if not table:
+            lam = as_partition(lam, n)
+            if not _within_bounds(lam, n, k):
+                yield lam, 0
+                continue
+        # an admissible partition has no part above top, so its complement
+        # is a partition too
+        comp = tuple([top - x for x in reversed(lam)])
+        rep = min(lam, comp)
+        g = take(rep, None)
+        if g is None:
+            g = g_coefficient(rep, n, k, cache)
+            if lam != rep or not table:
+                open_pairs[rep] = g
+        yield lam, g
+
+
+def _group_values(args) -> list[int]:
+    """A pool worker's values of distinct smaller members, in the order given."""
+    reps, n, k = args
+    return [g for _, g in _pass(reps, n, k, table=True)]
 
 
 def g_coefficients(
@@ -95,33 +135,49 @@ def g_coefficients(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    top = 2 * k * (n - 1)
-    reps: list[IntVec | None] = []
-    for lam in lams:
-        lam = as_partition(lam, n)
-        # an admissible partition has no part above top, so its complement
-        # is a partition too
-        ok = _within_bounds(lam, n, k)
-        reps.append(min(lam, tuple(top - x for x in reversed(lam))) if ok else None)
-    distinct = list(dict.fromkeys(r for r in reps if r is not None))
     workers = min(workers, os.cpu_count() or 1)
-    groups = [distinct]
     if workers > 1:
-        groups = [[] for _ in range(workers)]
-        for rep in distinct:
+        top = 2 * k * (n - 1)
+        reps: list[IntVec | None] = []
+        for lam in lams:
+            lam = as_partition(lam, n)
+            ok = _within_bounds(lam, n, k)
+            reps.append(min(lam, tuple(top - x for x in reversed(lam))) if ok else None)
+        groups: list[list[IntVec]] = [[] for _ in range(workers)]
+        for rep in dict.fromkeys(r for r in reps if r is not None):
             groups[pair_class(rep, n, k, workers)].append(rep)
-    value: dict[IntVec | None, int] = {None: 0}
-    if len(groups) == 1 or min(map(len, groups)) < 2:
-        value.update(zip(distinct, _group_values((distinct, n, k))))
-    else:
-        # imported here: a serial run would pay for it at start-up
-        from concurrent.futures import ProcessPoolExecutor
+        if min(map(len, groups)) >= 2:
+            # imported here: a serial run would pay for it at start-up
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_group_values, [(group, n, k) for group in groups])
-            for group, chunk in zip(groups, chunks):
-                value.update(zip(group, chunk))
-    return [value[r] for r in reps]
+            value: dict[IntVec | None, int] = {None: 0}
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = pool.map(_group_values, [(group, n, k) for group in groups])
+                for group, chunk in zip(groups, chunks):
+                    value.update(zip(group, chunk))
+            return [value[r] for r in reps]
+    return [g for _, g in _pass(lams, n, k)]
+
+
+def iter_terms(
+    lams: Iterable[IntVec], n: int, k: int, workers: int = 1
+) -> Iterator[tuple[IntVec, int]]:
+    """(lam, coefficient) for each of lams, in the order given: distinct
+    admissible partitions of n parts in reverse-lex order, the admissible
+    enumeration or a shard of it, taken as they are.
+
+    Serially, lams is taken in one pass and each term is yielded as soon as
+    its value is known, holding only the complement pairs still open: the
+    values and the order of evaluation are g_coefficients'. With W > 1
+    workers, as g_coefficients caps them, lams is listed and valued by its
+    pool first.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if min(workers, os.cpu_count() or 1) == 1:
+        return _pass(lams, n, k, table=True)
+    lams = list(lams)
+    return zip(lams, g_coefficients(lams, n, k, workers))
 
 
 def expand(n: int, k: int, workers: int = 1) -> SchurExpansion:
@@ -133,15 +189,18 @@ def expand(n: int, k: int, workers: int = 1) -> SchurExpansion:
     identity. The output is identical for any worker count: the result is
     assembled in enumeration order rather than completion order.
     """
-    lams = list(enumerate_admissible(n, k))
-    values = g_coefficients(lams, n, k, workers)
-    return SchurExpansion(n=n, k=k, terms=dict(zip(lams, values)))
+    terms = iter_terms(enumerate_admissible(n, k), n, k, workers)
+    return SchurExpansion(n=n, k=k, terms=dict(terms))
 
 
 def count_vanishing(n: int, k: int, workers: int = 1) -> tuple[int, int]:
-    """(admissible, vanishing) counts over the full expansion of (n, k)."""
-    exp = expand(n, k, workers)
-    return len(exp), len(exp.vanishing())
+    """(admissible, vanishing) counts over the full expansion of (n, k),
+    counted as the terms come, with no table held."""
+    admissible = vanishing = 0
+    for _, g in iter_terms(enumerate_admissible(n, k), n, k, workers):
+        admissible += 1
+        vanishing += g == 0
+    return admissible, vanishing
 
 
 def factorize_g(

@@ -186,11 +186,14 @@ def read_records(lines: Iterable[str], fmt: str) -> Iterator[ResultRecord]:
 def enumeration_checksum(n: int, k: int, lams: Iterable[IntVec] | None = None) -> str:
     """Digest of the canonical admissible enumeration for (n, k), or of lams,
     tuples of n ints, in its place when they are given. The text hashed is
-    "n k" and then each partition's parts joined by spaces, one line each."""
+    "n k" and then each partition's parts joined by spaces, one line each,
+    fed to the digest line by line so that no copy of the table is held."""
     line = " ".join(["%s"] * n) + "\n"
     lams = enumerate_admissible(n, k) if lams is None else lams
-    text = f"{n} {k}\n" + "".join([line % lam for lam in lams])
-    return _sha256()(text.encode()).hexdigest()
+    digest = _sha256()(f"{n} {k}\n".encode())
+    for lam in lams:
+        digest.update((line % lam).encode())
+    return digest.hexdigest()
 
 
 def _sha256():

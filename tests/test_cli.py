@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from vanschur import cli
+from vanschur import cli, coefficients
 from vanschur.cli import main
 from vanschur.records import (
     ResultRecord,
@@ -19,6 +19,7 @@ from vanschur.records import (
     record_from_jsonl,
     record_to_csv,
     record_to_jsonl,
+    write_records,
 )
 
 
@@ -105,17 +106,73 @@ def test_expand_csv_round_trip(tmp_path, capsys):
     ]
 
 
-def test_expand_jobs_do_not_change_bytes(tmp_path, capsys):
-    outputs = []
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("n, k", [(4, 1), (3, 2), (6, 1), (5, 2), (4, 2)])
+def test_expand_jobs_do_not_change_bytes(tmp_path, capsys, n, k, fmt):
+    # the streamed records, serial or from the pool, are the bytes of the
+    # table that expand() builds
+    table = coefficients.expand(n, k)
+    want = "".join(write_records(
+        (ResultRecord(n=n, k=k, lam=lam, coeff=g) for lam, g in table), fmt)).encode()
     for jobs in (1, 2):
-        path = tmp_path / f"out{jobs}.jsonl"
+        path = tmp_path / f"out{jobs}.{fmt}"
         code, _, _ = run_cli(
-            ["expand", "--n", "4", "--k", "2", "--jobs", str(jobs), "--out", str(path)],
+            ["expand", "--n", str(n), "--k", str(k), "--jobs", str(jobs), "--format", fmt,
+             "--out", str(path)],
             capsys,
         )
         assert code == 0
-        outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1]
+        assert path.read_bytes() == want, jobs
+
+
+def test_expand_writes_its_first_record_after_one_member(capsys, monkeypatch):
+    calls = []
+    at_line = []
+    real_g, real_write = coefficients.g_coefficient, cli.write_records
+
+    def counting(*args):
+        calls.append(args[0])
+        return real_g(*args)
+
+    def watched(records, fmt):
+        for line in real_write(records, fmt):
+            at_line.append(len(calls))
+            yield line
+
+    monkeypatch.setattr(coefficients, "g_coefficient", counting)
+    monkeypatch.setattr(cli, "write_records", watched)
+    code, out, _ = run_cli(["expand", "--n", "6", "--k", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 247
+    # 247 partitions in 143 complement pairs, each evaluated once
+    assert at_line[0] == 1 and len(calls) == len(set(calls)) == at_line[-1] == 143
+
+
+def test_expand_stops_at_a_closed_pipe_long_before_the_table_is_done():
+    # the reader is gone before the first write, so the first flush of
+    # stdout, after about 8 kB of records, ends the command
+    script = (
+        "import sys\n"
+        "from vanschur import coefficients\n"
+        "from vanschur.cli import main\n"
+        "calls = []\n"
+        "real = coefficients.g_coefficient\n"
+        "coefficients.g_coefficient = lambda *args: calls.append(1) or real(*args)\n"
+        "code = main(sys.argv[1:])\n"
+        "print(len(calls), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "expand", "--n", "8", "--k", "1"],
+            stdout=write, stderr=subprocess.PIPE, env=_src_env(), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    # the (8,1) table has 2,756 distinct members
+    assert 0 < int(proc.stderr) < 300
 
 
 def test_admissible_listing_and_count(capsys):
@@ -270,6 +327,62 @@ def test_merge_refuses_a_record_for_an_absurd_n(tmp_path, capsys, manifest, reco
     assert proc.stderr == f"merge failure: {message.format(path=path)}\n"
     assert float(proc.stdout) < 1.0
     assert not (tmp_path / "m.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coeff", "--n", "100000000000000000000", "--k", "1", "--lambda", "1"],
+        ["expand", "--n", "40", "--k", "1"],
+        ["shard", "--n", "40", "--k", "1", "--shards", "2", "--index", "0"],
+        ["admissible", "--n", "3", "--k", "1000000", "--count-only"],
+    ],
+    ids=["coeff", "expand", "shard", "admissible"],
+)
+def test_absurd_sizes_are_refused_at_once(args):
+    # refused before lambda is padded to n parts or anything is enumerated:
+    # under a 1 GB address-space limit, padding to 10^20 parts or listing
+    # n = 40 would end in a MemoryError, and counting k = 10^6 would not end
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from vanschur.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=_src_env(), timeout=30)
+    assert proc.returncode == 1
+    n, k = args[2], args[4]
+    assert proc.stderr == (f"error: n={n}, k={k} is beyond the largest cell taken, "
+                           f"n <= {cli.MAX_N} and k <= {cli.MAX_K}\n")
+    assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("n, k, code", [(16, 16, 0), (17, 1, 1), (1, 17, 1)])
+def test_size_limits_take_n_and_k_up_to_16(capsys, n, k, code):
+    # room for the (11,1) table and the (13,1) rectangle; an inadmissible
+    # lambda shows whether the cell is taken without computing anything
+    got, _, err = run_cli(["coeff", "--n", str(n), "--k", str(k), "--lambda", "1"], capsys)
+    assert got == code
+    assert ("not admissible" if code == 0 else "beyond the largest cell") in err
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_out_of_memory_is_one_line_with_its_own_exit_code(tmp_path, capsys, monkeypatch, out):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(coefficients, "g_coefficient", exhausted)
+    target = tmp_path / "x.jsonl"
+    args = ["expand", "--n", "4", "--k", "1"] + (["--out", str(target)] if out else [])
+    code, stdout, err = run_cli(args, capsys)
+    assert code == cli.MEMORY_EXIT == 3
+    assert err == "error: out of memory in expand\n"
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -776,10 +889,11 @@ def test_run_tables_rejects_a_bad_nmax_k1(args, message):
 def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):
     # the output is opened before any coefficient is computed
     def never(*args, **kwargs):
-        raise AssertionError("expand ran before the output was opened")
+        raise AssertionError("iter_terms ran before the output was opened")
 
-    # the command imports expand when it runs, so it is patched where it lives
-    monkeypatch.setattr("vanschur.coefficients.expand", never)
+    # the command imports iter_terms when it runs, so it is patched where it
+    # lives
+    monkeypatch.setattr("vanschur.coefficients.iter_terms", never)
     code, _, err = run_cli(
         ["expand", "--n", "2", "--k", "1", "--out", str(tmp_path / "no" / "dir.jsonl")],
         capsys,

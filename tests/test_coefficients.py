@@ -59,6 +59,29 @@ def test_count_vanishing_small():
     assert count_vanishing(4, 2) == (76, 0)
 
 
+def test_count_vanishing_counts_as_the_terms_come(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("count_vanishing built the table")
+
+    monkeypatch.setattr(coefficients, "SchurExpansion", never)
+    assert count_vanishing(6, 2) == (3996, 6)
+
+
+def test_iter_terms_takes_one_partition_per_term():
+    drawn = []
+
+    def enumeration():
+        for lam in enumerate_admissible(6, 1):
+            drawn.append(lam)
+            yield lam
+
+    terms = coefficients.iter_terms(enumeration(), 6, 1)
+    for pos, (lam, g) in enumerate(terms, start=1):
+        assert len(drawn) == pos and drawn[-1] == lam
+        assert g == g_coefficient(lam, 6, 1)
+    assert pos == 247
+
+
 def test_expansion_vanishing_listing():
     exp = expand(6, 2)
     zeros = exp.vanishing()
