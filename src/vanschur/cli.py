@@ -28,6 +28,7 @@ from .partitions import count_admissible, enumerate_admissible, is_admissible, p
 from .records import (
     ResultRecord,
     ShardManifest,
+    enumerated_record,
     enumeration_checksum,
     manifest_from_jsonl,
     manifest_to_jsonl,
@@ -139,7 +140,7 @@ def cmd_expand(args) -> int:
     n, k = args.n, args.k
     with _output(args.out) as out:
         terms = iter_terms(enumerate_admissible(n, k), n, k, args.jobs)
-        records = (ResultRecord(n=n, k=k, lam=lam, coeff=g) for lam, g in terms)
+        records = (enumerated_record(n, k, lam, g) for lam, g in terms)
         out.writelines(write_records(records, args.format))
     return 0
 
@@ -204,7 +205,7 @@ def cmd_shard(args) -> int:
                              checksum=checksum)
     with _output(args.out) as out:
         out.write(manifest_to_jsonl(manifest) + "\n")
-        records = (ResultRecord(n=n, k=k, lam=lam, coeff=g) for lam, g in iter_terms(mine, n, k))
+        records = (enumerated_record(n, k, lam, g) for lam, g in iter_terms(mine, n, k))
         out.writelines(write_records(records, "jsonl"))
     return 0
 

@@ -184,4 +184,29 @@ def pair_class(lam: IntVec, n: int, k: int, classes: int) -> int:
 
 
 def count_admissible(n: int, k: int) -> int:
-    return sum(1 for _ in enumerate_admissible(n, k))
+    """Number of admissible partitions of (n, k), counted layer by layer
+    without walking them: after the first i parts, the ways to reach each
+    prefix sum, by last part, inside the prefix bounds. A part is at most
+    the one before it, and at least what the weight leaves over it and the
+    parts after it, which are no larger."""
+    lo, up = _prefix_bounds(n, k)
+    w = up[-1]
+    # prefix sum -> (least last part, ways by last part from there up)
+    layer = {s: (s, [1]) for s in range(max(lo[0], -(-w // n)), up[0] + 1)}
+    for i in range(1, n):
+        grown: dict[int, dict[int, int]] = {}
+        for s, (least, ways) in layer.items():
+            # the ways whose last part is least + j or more
+            at_least = list(accumulate(reversed(ways)))[::-1]
+            first = max(lo[i] - s, -(-(w - s) // (n - i)))
+            for v in range(first, min(least + len(ways) - 1, up[i] - s) + 1):
+                t = s + v
+                row = grown.get(t)
+                if row is None:
+                    row = grown[t] = {}
+                row[v] = at_least[v - least] if v > least else at_least[0]
+        layer = {}
+        for s, ways in grown.items():
+            least = min(ways)
+            layer[s] = (least, [ways.get(v, 0) for v in range(least, max(ways) + 1)])
+    return sum(sum(ways) for _, ways in layer.values())

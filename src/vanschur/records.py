@@ -8,7 +8,9 @@ of parts: the JSONL one is laid out by json.dumps, so a line is the bytes
 json.dumps gives for a record of ints, without calling it per record. A JSONL
 line is read by one JSON decoder reused across lines, with exact type checks,
 and each record is built once: its partition is checked here, and the
-checking constructor runs only to refuse one that fails.
+checking constructor runs only to refuse one that fails. The records of
+`expand` and `shard` hold partitions the admissible enumeration made, and
+are built with no check at all.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ def record_from_fields(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
         return ResultRecord(n=n, k=k, lam=lam, coeff=coeff)
     if len(lam) < n:
         lam += (0,) * (n - len(lam))
+    return enumerated_record(n, k, lam, coeff)
+
+
+def enumerated_record(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
+    """ResultRecord(n=n, k=k, lam=lam, coeff=coeff) for lam a partition
+    padded to n parts already, such as the admissible enumeration makes:
+    stored as it is, with no second check."""
     record = object.__new__(ResultRecord)
     init = object.__setattr__
     init(record, "n", n)

@@ -361,6 +361,27 @@ def test_absurd_sizes_are_refused_at_once(args):
     assert float(proc.stdout) < 1.0
 
 
+def test_the_largest_cell_is_counted_at_once():
+    # (16,16) has about 1.7e26 admissible partitions: counted, not walked,
+    # in one line within 2 s under a 1 GB address-space limit
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from vanschur.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "admissible", "--n", "16", "--k", "16", "--count-only"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "167386183999301880353063115\n"
+    assert float(proc.stderr) < 2.0
+
+
 @pytest.mark.parametrize("n, k, code", [(16, 16, 0), (17, 1, 1), (1, 17, 1)])
 def test_size_limits_take_n_and_k_up_to_16(capsys, n, k, code):
     # room for the (11,1) table and the (13,1) rectangle; an inadmissible

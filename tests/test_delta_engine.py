@@ -137,6 +137,80 @@ def test_pivot_children_and_split_blocks_keep_the_weight(n, k):
     assert children > 1000 and blocks > 100
 
 
+def group_order(rest):
+    """The distinct companion vectors in the order _pivot_children takes
+    their groups, with the count of each: sorted, and the group with the
+    most companions moved last when it has more than the last one."""
+    counts = {v: rest.count(v) for v in rest}
+    order = sorted(counts)
+    top = max(order, key=counts.get)
+    if counts[top] > counts[order[-1]]:
+        order.remove(top)
+        order.append(top)
+    return order, counts
+
+
+def leftover_sum_repeats(spec, tuples, rest):
+    """Whether two choices of the groups walked before the last two, each
+    reaching a child, leave the same sum for those two groups to meet."""
+    order, _ = group_order(rest)
+    walked = order[:-2]
+    n = spec.n
+    need = (2 * spec.half - 1) * n - spec.vectors[0][-1]
+    choices: dict = {}
+    for tup in tuples:
+        picked = sorted((v, i) for v, i in zip(spec.vectors[1:], tup[1:]) if v in walked)
+        left = need - sum(v[n - i] + i for v, i in picked)
+        choices.setdefault(left, set()).add(tuple(picked))
+    return any(len(c) > 1 for c in choices.values())
+
+
+@functools.cache
+def rectangle_subspecs():
+    """What iter_subspecs gives for the (6,2) rectangle (10, ..., 10)."""
+    return tuple(iter_subspecs(DeltaSpec.for_coefficient((10,) * 6, 6, 2)))
+
+
+@pytest.mark.parametrize("cell", [(5, 2), (4, 3), "rectangle"])
+def test_pivot_children_match_brute_force(cell):
+    # every i_1 = 1 pivot tuple of the reference, keyed as the engine keys a
+    # child (the product of its struck companions' primes) and signed
+    # (-1)^(index sum): the engine's signed counts must match key by key,
+    # zero counts included, and each chain must give struck vectors that
+    # make its key, one per sorted companion, in group order
+    subs = rectangle_subspecs() if cell == "rectangle" else reachable_subspecs(*cell)
+    distinct = {_memo_key(sub.vectors): sub for sub in subs}
+    moved = repeats = 0
+    for spec in distinct.values():
+        n = spec.n
+        if n < 2:
+            continue
+        first, rest = spec.vectors[0], tuple(sorted(spec.vectors[1:]))
+        need = (2 * spec.half - 1) * n - first[-1]
+        tuples = pivot_tuples(spec, 1)
+        want: dict = {}
+        for tup in tuples:
+            key = math.prod(map(_slot, child_spec(spec, tup).vectors[1:]))
+            want[key] = want.get(key, 0) + (-1 if sum(tup) % 2 else 1)
+        got = _pivot_children(rest, need, 1)
+        assert {key: count for key, (count, _) in got.items()} == want
+        # each companion struck at index i: its entry at n - i goes, and
+        # those before it go up by 1; the terms v[n-i] + i meet need
+        strikes = {
+            v: {tuple(x + 1 for x in v[: n - i]) + v[n - i + 1 :]: v[n - i] + i
+                for i in range(1, n + 1)}
+            for v in set(rest)
+        }
+        for key, (_, chain) in got.items():
+            struck = _child_vectors(chain)
+            assert math.prod(map(_slot, struck)) == key
+            assert sum(strikes[v][w] for v, w in zip(rest, struck)) == need
+        order, counts = group_order(rest)
+        moved += order != sorted(counts)
+        repeats += leftover_sum_repeats(spec, tuples, rest)
+    assert moved >= 100 and repeats >= 100
+
+
 def probed_children(pivoted, cache, monkeypatch):
     """(key, signed count, vectors) of each child _pivot_sum probes, in order.
 
@@ -575,7 +649,7 @@ COLD_COEFFICIENTS = [
     ((11, 10, 8, 7, 3, 3, 0), 7, 1, 36, 6, 0),
     ((6, 6, 6, 6, 6, 6, 6), 7, 1, -135135, 412, 1328),
     ((15, 15, 14, 7, 5, 4), 6, 2, 337125, 48, 124),
-    ((10, 10, 10, 10, 10, 10), 6, 2, 190590400, 1263, 20557),
+    ((10, 10, 10, 10, 10, 10), 6, 2, 190590400, 1264, 20602),
     ((21, 17, 11, 8, 3), 5, 3, 512442, 24, 63),
     ((15, 12, 11, 11, 11), 5, 3, -1182835500, 280, 5148),
 ]
@@ -595,7 +669,7 @@ def test_memo_traffic_of_a_cold_coefficient_is_pinned(lam, n, k, value, misses, 
     "lams, n, k, kept, seen",
     [
         (None, 7, 1, 1264, 1266),
-        ([(10, 10, 10, 10, 10, 10)], 6, 2, 114, 1066),
+        ([(10, 10, 10, 10, 10, 10)], 6, 2, 131, 1051),
     ],
 )
 def test_kept_companion_results_are_pinned(lams, n, k, kept, seen):

@@ -74,6 +74,13 @@ def test_enumeration_small():
     assert count_admissible(6, 2) == 3996
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_agrees_with_the_enumeration(k):
+    # the count is layered over prefix sums, never walking the partitions
+    for n in range(1, 9):
+        assert count_admissible(n, k) == sum(1 for _ in enumerate_admissible(n, k)), n
+
+
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 1), (4, 2), (3, 4)])
 def test_enumeration_is_strictly_reverse_lex(n, k):
     out = list(enumerate_admissible(n, k))
