@@ -24,7 +24,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
-from .partitions import count_admissible, enumerate_admissible, is_admissible, pair_class
+from .partitions import (_within_bounds, as_partition, count_admissible, deal,
+                         enumerate_admissible, gather, pair_class)
 from .records import (
     ResultRecord,
     ShardManifest,
@@ -66,14 +67,9 @@ def _check_cell(n: int, k: int) -> None:
 
 def _parse_lambda(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse partition {text!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or (
-        parts and parts[-1] < 0
-    ):
-        raise ValueError(f"{text!r} is not a decreasing nonnegative partition")
-    return parts
 
 
 @contextmanager
@@ -110,27 +106,21 @@ def _output(path: str | None):
 
 
 def cmd_coeff(args) -> int:
+    n, k = args.n, args.k
     try:
-        lam = _parse_lambda(args.lam)
+        lam = as_partition(_parse_lambda(args.lam), n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    if len(lam) > args.n:
-        print(f"error: more than {args.n} parts in {args.lam!r}", file=sys.stderr)
-        return USAGE_EXIT
-    if not is_admissible(lam, args.n, args.k):
-        print(
-            f"warning: {list(lam)} is not admissible for n={args.n}, k={args.k}; "
-            "coefficient is 0",
-            file=sys.stderr,
-        )
+    if not _within_bounds(lam, n, k):
+        print(f"warning: {list(lam)} is not admissible for n={n}, k={k}; coefficient is 0",
+              file=sys.stderr)
         coeff = 0
     else:
         from .coefficients import g_coefficient
 
-        coeff = g_coefficient(lam, args.n, args.k)
-    record = ResultRecord(n=args.n, k=args.k, lam=lam, coeff=coeff)
-    print(record_to_jsonl(record))
+        coeff = g_coefficient(lam, n, k)
+    print(record_to_jsonl(enumerated_record(n, k, lam, coeff)))
     return 0
 
 
@@ -298,16 +288,14 @@ def cmd_merge(args) -> int:
               file=sys.stderr)
         return VERIFY_EXIT
 
-    # one walk of the enumeration draws each position's record from the shard
-    # of its class; a shard that runs short leaves None
-    merged: list[ResultRecord | None] = shard_records[0]
-    if ref.shards > 1:
-        draws = [iter(shard_records[j]) for j in range(ref.shards)]
-        merged = [next(draws[pair_class(lam, ref.n, ref.k, ref.shards)], None) for lam in lams]
-    placed = [r and r.lam for r in merged]
-    if placed != lams:
-        pos = next(i for i, (a, b) in enumerate(zip(placed, lams)) if a != b)
-        j = pair_class(lams[pos], ref.n, ref.k, ref.shards)
+    # each position takes its record from the shard of its class; a shard
+    # that runs short leaves None
+    parts = [shard_records[j] for j in range(ref.shards)]
+    merged = gather(lams, ref.n, ref.k, ref.shards, parts)
+    if [r and r.lam for r in merged] != lams:
+        # some shard then differs from its class of the enumeration
+        own = deal(lams, ref.n, ref.k, ref.shards)
+        j = next(j for j, part in enumerate(parts) if [r.lam for r in part] != own[j])
         print(f"merge failure: shard {j} does not match the canonical enumeration",
               file=sys.stderr)
         return VERIFY_EXIT

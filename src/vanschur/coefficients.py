@@ -8,6 +8,9 @@ of coefficients therefore evaluates one member of each complement pair, the
 lexicographically smaller one, and gives its exact value to both; the
 smaller members share far more subproblems in one memo than a mix of both
 members does (34,215 memo entries against 92,317 on the (8,1) table).
+
+On W workers a table is laid out as W shards: partitions.deal splits it by
+pair class, and partitions.gather puts the values back, as shard and merge do.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .partitions import (
     IntVec,
     _within_bounds,
     as_partition,
+    deal,
     enumerate_admissible,
-    pair_class,
+    gather,
 )
 
 
@@ -69,50 +73,32 @@ def g_coefficient(
     return sign * evaluate(DeltaSpec.for_coefficient(lam, n, k), cache, factorize=factorize)
 
 
-def _pass(
-    lams: Iterable[IntVec], n: int, k: int, table: bool = False
-) -> Iterator[tuple[IntVec, int]]:
-    """(lam padded to n parts, its coefficient) for each of lams in turn, each
-    yielded as soon as its value is known, from one memo.
-
-    An admissible partition takes the value of its complement pair when the
-    pair is open; otherwise the pair's smaller member is evaluated and the
-    pair opens, so each distinct member is evaluated once, in order of first
-    appearance. Inadmissible partitions are 0, and a malformed one raises
-    when it is reached; every pair stays open to the end.
-
-    With table set, lams are distinct admissible partitions of n parts that
-    give the larger member of a pair before the smaller, as the reverse-lex
-    enumeration, a shard of it and a worker's smaller members do. They are
-    taken as they are, and a pair opens only at its larger member and closes
-    at its smaller.
+def _pass(lams: Iterable[IntVec], n: int, k: int) -> Iterator[tuple[IntVec, int]]:
+    """(lam, its coefficient) for each of lams in turn, yielded as soon as
+    known, from one memo: lams are distinct admissible partitions of n parts
+    that give the larger member of a complement pair before the smaller, as
+    the enumeration, a class of it and a list of smaller members do. A pair's
+    smaller member is evaluated at the pair's first partition.
     """
     top = 2 * k * (n - 1)
     cache = MemoCache()
     open_pairs: dict[IntVec, int] = {}
-    take = open_pairs.pop if table else open_pairs.get
     for lam in lams:
-        if not table:
-            lam = as_partition(lam, n)
-            if not _within_bounds(lam, n, k):
-                yield lam, 0
-                continue
         # an admissible partition has no part above top, so its complement
         # is a partition too
         comp = tuple([top - x for x in reversed(lam)])
         rep = min(lam, comp)
-        g = take(rep, None)
+        g = open_pairs.pop(rep, None)
         if g is None:
             g = g_coefficient(rep, n, k, cache)
-            if lam != rep or not table:
+            if lam != rep:
                 open_pairs[rep] = g
         yield lam, g
 
 
-def _group_values(args) -> list[int]:
-    """A pool worker's values of distinct smaller members, in the order given."""
-    reps, n, k = args
-    return [g for _, g in _pass(reps, n, k, table=True)]
+def _class_values(args) -> list[int]:
+    """A pool worker's coefficients of one class of partitions, in its order."""
+    return [g for _, g in _pass(*args)]
 
 
 def g_coefficients(
@@ -121,42 +107,21 @@ def g_coefficients(
     """Coefficients of the given partitions of (n, k), in the order given.
 
     Each admissible partition stands for the lexicographically smaller member
-    of its complement pair, and each distinct member is evaluated once, in
-    order of first appearance; inadmissible partitions are 0. One process
-    shares one memo across all of them. With W > 1 workers, each distinct
-    member goes to worker pair_class(member, n, k, W), each worker a process
-    with its own memo that takes its members in order of first appearance.
-    The class keeps most shared subproblems on one worker: over the two
-    workers of (8,1) the memos miss 1.14x as often as one serial memo, where
-    giving member j to worker j mod 2 missed 1.40x as often. W is capped at
-    the CPU count, and the pool is used only when every worker gets at least
-    two members. Values, and errors on malformed partitions, are those of
-    g_coefficient called on each partition in turn.
+    of its complement pair, and the distinct members go through iter_terms,
+    on W workers, in order of first appearance; inadmissible partitions are
+    0. Values, and errors on malformed partitions, are those of g_coefficient
+    called on each partition in turn.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        top = 2 * k * (n - 1)
-        reps: list[IntVec | None] = []
-        for lam in lams:
-            lam = as_partition(lam, n)
-            ok = _within_bounds(lam, n, k)
-            reps.append(min(lam, tuple(top - x for x in reversed(lam))) if ok else None)
-        groups: list[list[IntVec]] = [[] for _ in range(workers)]
-        for rep in dict.fromkeys(r for r in reps if r is not None):
-            groups[pair_class(rep, n, k, workers)].append(rep)
-        if min(map(len, groups)) >= 2:
-            # imported here: a serial run would pay for it at start-up
-            from concurrent.futures import ProcessPoolExecutor
-
-            value: dict[IntVec | None, int] = {None: 0}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = pool.map(_group_values, [(group, n, k) for group in groups])
-                for group, chunk in zip(groups, chunks):
-                    value.update(zip(group, chunk))
-            return [value[r] for r in reps]
-    return [g for _, g in _pass(lams, n, k)]
+    top = 2 * k * (n - 1)
+    reps: list[IntVec | None] = []
+    for lam in lams:
+        lam = as_partition(lam, n)
+        ok = _within_bounds(lam, n, k)
+        reps.append(min(lam, tuple(top - x for x in reversed(lam))) if ok else None)
+    value = dict(iter_terms(dict.fromkeys(r for r in reps if r is not None), n, k, workers))
+    return [value.get(r, 0) for r in reps]
 
 
 def iter_terms(
@@ -167,17 +132,27 @@ def iter_terms(
     enumeration or a shard of it, taken as they are.
 
     Serially, lams is taken in one pass and each term is yielded as soon as
-    its value is known, holding only the complement pairs still open: the
-    values and the order of evaluation are g_coefficients'. With W > 1
-    workers, as g_coefficients caps them, lams is listed and valued by its
-    pool first.
+    its value is known, holding only the complement pairs still open. With
+    W > 1 workers, capped at the CPU count, lams is listed and dealt by class
+    as `shard` deals a table, each class runs in a process of its own as
+    `shard` runs it, and the values are gathered as `merge` places records.
+    The two workers of (8,1) miss 1.14x as often as one memo. The pool is
+    used only when every class gets at least two partitions.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if min(workers, os.cpu_count() or 1) == 1:
-        return _pass(lams, n, k, table=True)
-    lams = list(lams)
-    return zip(lams, g_coefficients(lams, n, k, workers))
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        lams = list(lams)
+        parts = deal(lams, n, k, workers)
+        if min(map(len, parts)) >= 2:
+            # imported here: a serial run would pay for it at start-up
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                values = list(pool.map(_class_values, [(part, n, k) for part in parts]))
+            return zip(lams, gather(lams, n, k, workers, values))
+    return _pass(lams, n, k)
 
 
 def expand(n: int, k: int, workers: int = 1) -> SchurExpansion:

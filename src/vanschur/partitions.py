@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import accumulate
-from typing import Iterable, Iterator
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Sequence
 
 IntVec = tuple[int, ...]
 
@@ -181,6 +181,27 @@ def pair_class(lam: IntVec, n: int, k: int, classes: int) -> int:
     else:
         third = lam[2] if n > 2 else 0
     return ((first + third) % 2 + 2 * (first // 2)) % classes
+
+
+def deal(lams: Iterable[IntVec], n: int, k: int, classes: int) -> list[list[IntVec]]:
+    """lams split by pair_class into `classes` parts, each in the given order:
+    part j is what shard j of a table holds and what worker j evaluates."""
+    parts: list[list[IntVec]] = [[] for _ in range(classes)]
+    for lam in lams:
+        parts[pair_class(lam, n, k, classes)].append(lam)
+    return parts
+
+
+def gather(lams: Sequence[IntVec], n: int, k: int, classes: int,
+           parts: Sequence[Iterable]) -> list:
+    """The inverse of deal: one item per partition of lams, in its order,
+    drawn in turn from the part of its class, or None once that part runs
+    out. Items beyond a part's share are left undrawn."""
+    if classes == 1:
+        items = list(islice(parts[0], len(lams)))
+        return items + [None] * (len(lams) - len(items))
+    draws = [iter(part) for part in parts]
+    return [next(draws[pair_class(lam, n, k, classes)], None) for lam in lams]
 
 
 def count_admissible(n: int, k: int) -> int:

@@ -77,21 +77,13 @@ def pivot_tuples(spec: DeltaSpec, i1: int) -> list[IntVec]:
     remaining = delta_target(spec) - vectors[0][n - i1] - i1
     last = vectors[-1]
     solve = {last[n - i] + i: i for i in range(1, n + 1)}
-    middle = vectors[1:-1]
-    out: list[IntVec] = []
-
-    def rec(slot: int, prefix: tuple[int, ...], left: int) -> None:
-        if slot == len(middle):
-            i_last = solve.get(left)
-            if i_last is not None:
-                out.append((i1,) + prefix + (i_last,))
-            return
-        v = middle[slot]
-        for i in range(1, n + 1):
-            rec(slot + 1, prefix + (i,), left - (v[n - i] + i))
-
-    rec(0, (), remaining)
-    return out
+    # what each prefix of middle indices leaves for the last slot, one
+    # middle slot at a time; prefixes stay in lexicographic order
+    left: dict[IntVec, int] = {(i1,): remaining}
+    for v in vectors[1:-1]:
+        terms = [(i, v[n - i] + i) for i in range(1, n + 1)]
+        left = {prefix + (i,): rest - t for prefix, rest in left.items() for i, t in terms}
+    return [prefix + (solve[rest],) for prefix, rest in left.items() if rest in solve]
 
 
 def child_spec(spec: DeltaSpec, tup: Sequence[int]) -> DeltaSpec:

@@ -57,6 +57,17 @@ def test_coeff_malformed_lambda_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "lam, message",
+    [("2,-1", "negative part in partition: [2, -1]"),
+     ("1,1,1", "partition [1, 1, 1] has more than 2 parts")],
+)
+def test_coeff_refuses_a_negative_part_or_too_many_parts(capsys, lam, message):
+    code, out, err = run_cli(["coeff", "--n", "2", "--k", "1", "--lambda", lam], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert run_cli(["coeff", "--n", "2", "--k", "1"], capsys)[0] == 1
     assert run_cli(["bogus"], capsys)[0] == 1
@@ -860,10 +871,11 @@ def test_expand_loads_no_dataclasses(tmp_path):
 
 def test_run_tables_exits_quietly_with_141_on_a_closed_pipe():
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
-    # the (10,1) and (11,1) counts take about a second, so rows are still to
-    # come when the reader leaves after the header
+    # the default grid evaluates its tables for seconds, so rows are still to
+    # come when the reader leaves after the header (admissible counts alone
+    # are all written within milliseconds, before the reader may have left)
     with subprocess.Popen(
-        [sys.executable, script, "--counts-only", "--nmax-k1", "11"],
+        [sys.executable, script],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_src_env(),

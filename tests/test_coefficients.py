@@ -163,6 +163,37 @@ def test_each_complement_class_is_evaluated_once(monkeypatch, workers):
     assert values == [g_coefficient(lam, n, k) for lam in lams]
 
 
+@pytest.mark.parametrize("n, k", [(7, 1), (5, 2), (4, 3)])
+def test_each_worker_runs_what_its_shard_runs(monkeypatch, n, k):
+    # worker j of expand(n, k, 2) makes the g_coefficient calls, and its memo
+    # the misses and hits, of iter_terms over class j of the enumeration, as
+    # `shard --shards 2 --index j` runs it
+    calls: dict = {}
+
+    def recording(lam, n, k, cache=None):
+        calls.setdefault(id(cache), [cache, []])[1].append(lam)
+        return g_coefficient(lam, n, k, cache)
+
+    def traffic(run):
+        calls.clear()
+        values = list(run())
+        return values, [(lams, c.misses, c.hits) for c, lams in calls.values()]
+
+    monkeypatch.setattr(coefficients, "g_coefficient", recording)
+    monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    lams = list(enumerate_admissible(n, k))
+    pooled, workers = traffic(lambda: expand(n, k, 2))
+    shards = []
+    for j in range(2):
+        mine = [lam for lam in lams if pair_class(lam, n, k, 2) == j]
+        shards.append(traffic(lambda: coefficients.iter_terms(mine, n, k)))
+    assert len(workers) == 2
+    assert workers == [trace for _, (trace,) in shards]
+    assert pooled == [(lam, g) for lam, g in expand(n, k)]
+    assert sorted(pooled) == sorted(term for terms, _ in shards for term in terms)
+
+
 @pytest.mark.parametrize(
     "n, k, misses", [(7, 1, 4889), (5, 2, 1639), (4, 3, 499)],
 )

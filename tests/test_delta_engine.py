@@ -187,20 +187,24 @@ def test_pivot_children_match_brute_force(cell):
             continue
         first, rest = spec.vectors[0], tuple(sorted(spec.vectors[1:]))
         need = (2 * spec.half - 1) * n - first[-1]
+        # each companion struck at index i: its entry at n - i goes, and
+        # those before it go up by 1, as child_spec strikes it; the terms
+        # v[n-i] + i meet need
+        struck_at = {
+            v: [tuple(x + 1 for x in v[: n - i]) + v[n - i + 1 :] for i in range(1, n + 1)]
+            for v in set(rest)
+        }
+        strikes = {v: {w: v[n - i] + i for i, w in enumerate(ws, 1)}
+                   for v, ws in struck_at.items()}
+        primes = {v: [None, *map(_slot, ws)] for v, ws in struck_at.items()}
+        companions = spec.vectors[1:]
         tuples = pivot_tuples(spec, 1)
         want: dict = {}
         for tup in tuples:
-            key = math.prod(map(_slot, child_spec(spec, tup).vectors[1:]))
+            key = math.prod([primes[v][i] for v, i in zip(companions, tup[1:])])
             want[key] = want.get(key, 0) + (-1 if sum(tup) % 2 else 1)
         got = _pivot_children(rest, need, 1)
         assert {key: count for key, (count, _) in got.items()} == want
-        # each companion struck at index i: its entry at n - i goes, and
-        # those before it go up by 1; the terms v[n-i] + i meet need
-        strikes = {
-            v: {tuple(x + 1 for x in v[: n - i]) + v[n - i + 1 :]: v[n - i] + i
-                for i in range(1, n + 1)}
-            for v in set(rest)
-        }
         for key, (_, chain) in got.items():
             struck = _child_vectors(chain)
             assert math.prod(map(_slot, struck)) == key

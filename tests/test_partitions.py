@@ -9,7 +9,9 @@ from reference import AdmissibleBounds, dominates, enumerate_admissible_referenc
 from vanschur.partitions import (
     as_partition,
     count_admissible,
+    deal,
     enumerate_admissible,
+    gather,
     is_admissible,
     pair_class,
 )
@@ -181,3 +183,26 @@ def test_pair_class_is_that_of_the_smaller_complement_member(n, k):
         for classes in (1, 3, 4):
             want = ((mu[0] + third) % 2 + 2 * (mu[0] // 2)) % classes
             assert pair_class(lam, n, k, classes) == pair_class(comp, n, k, classes) == want
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 4])
+def test_gather_undoes_deal(classes):
+    lams = list(enumerate_admissible(8, 1))
+    parts = deal(lams, 8, 1, classes)
+    # part j is what shard j's one-pass filter keeps
+    assert parts == [[lam for lam in lams if pair_class(lam, 8, 1, classes) == j]
+                     for j in range(classes)]
+    assert gather(lams, 8, 1, classes, parts) == lams
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3])
+def test_a_short_part_leaves_none_at_the_later_positions_of_its_class(classes):
+    lams = list(enumerate_admissible(6, 1))
+    parts = deal(lams, 6, 1, classes)
+    kept = len(parts[-1]) - 3
+    parts[-1] = iter(parts[-1][:kept])
+    gathered = gather(lams, 6, 1, classes, parts)
+    mine = [pos for pos, lam in enumerate(lams) if pair_class(lam, 6, 1, classes) == classes - 1]
+    late = set(mine[kept:])
+    assert len(late) == 3
+    assert gathered == [None if pos in late else lam for pos, lam in enumerate(lams)]
