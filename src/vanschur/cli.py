@@ -34,7 +34,6 @@ from .records import (
     manifest_from_jsonl,
     manifest_to_jsonl,
     record_fields_from_jsonl,
-    record_from_fields,
     record_to_jsonl,
     write_records,
 )
@@ -154,7 +153,7 @@ def cmd_verify(args) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    engine = expand(args.n, args.k, workers=args.jobs)
+    engine = expand(args.n, args.k)
     for lam, g in engine:
         expected = reference.terms[lam]
         if g != expected:
@@ -231,7 +230,7 @@ def cmd_merge(args) -> int:
                     problem = (f"record {len(records)} has {len(lam)} parts, "
                                f"its manifest's n is {n}")
                 else:
-                    records.append(record_from_fields(n, k, lam, coeff))
+                    records.append(ResultRecord(n, k, lam, coeff))
                     continue
             except (ValueError, KeyError, TypeError) as exc:
                 problem = f"{type(exc).__name__}: {exc}"
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check the engine against brute force")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("shard", help="compute one deterministic slice of (n, k)")

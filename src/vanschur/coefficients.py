@@ -112,8 +112,6 @@ def g_coefficients(
     0. Values, and errors on malformed partitions, are those of g_coefficient
     called on each partition in turn.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     top = 2 * k * (n - 1)
     reps: list[IntVec | None] = []
     for lam in lams:

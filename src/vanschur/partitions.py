@@ -55,17 +55,26 @@ class Frozen:
 
 
 def as_decreasing(entries: Iterable[int]) -> IntVec:
-    """Validate and freeze a weakly decreasing integer vector."""
-    v = tuple(map(int, entries))
+    """entries as a tuple, refusing with a ValueError a vector that is not
+    weakly decreasing or holds an entry whose type is not exactly int: a
+    bool, a float, a string or a numpy integer is refused, never rounded or
+    converted."""
+    v = tuple(entries)
+    for x in v:
+        if type(x) is not int:
+            raise ValueError(f"entry {x!r} is not an int: {list(v)}")
     if not all(map(operator.ge, v, v[1:])):
         raise ValueError(f"not weakly decreasing: {list(v)}")
     return v
 
 
 def as_partition(entries: Iterable[int], n: int | None = None) -> IntVec:
-    """Validate a partition (weakly decreasing, nonnegative).
+    """entries as a partition: a tuple of ints, weakly decreasing and
+    nonnegative, checked as as_decreasing checks a vector. The package's one
+    partition check: the functions that take a partition and the record
+    decoders all call it.
 
-    With n given, pads with trailing zeros to length n and rejects inputs
+    With n given, pads with trailing zeros to length n and refuses inputs
     with more than n parts.
     """
     v = as_decreasing(entries)

@@ -6,11 +6,11 @@ consumer; both encodings are byte-deterministic for fixed inputs.
 A record line is formatted directly, from a template made once per number
 of parts: the JSONL one is laid out by json.dumps, so a line is the bytes
 json.dumps gives for a record of ints, without calling it per record. A JSONL
-line is read by one JSON decoder reused across lines, with exact type checks,
-and each record is built once: its partition is checked here, and the
-checking constructor runs only to refuse one that fails. The records of
-`expand` and `shard` hold partitions the admissible enumeration made, and
-are built with no check at all.
+line is read by one JSON decoder reused across lines. The decoders check the
+fields they parse, n, k and the coefficient, and leave the partition to the
+checking constructor ResultRecord, whose as_partition refuses any part that
+is not an int. The records of `expand` and `shard` hold partitions the
+admissible enumeration made, and are built by enumerated_record with no check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import json
 import re
 import sys
-from operator import ge
 from typing import Iterable, Iterator
 
 from .partitions import Frozen, IntVec, as_partition, enumerate_admissible
@@ -39,7 +38,7 @@ class ResultRecord(Frozen):
 
     __slots__ = ("n", "k", "lam", "coeff")
 
-    def __init__(self, n: int, k: int, lam: IntVec, coeff: int):
+    def __init__(self, n: int, k: int, lam: Iterable[int], coeff: int):
         init = object.__setattr__
         init(self, "n", n)
         init(self, "k", k)
@@ -75,18 +74,6 @@ class ShardManifest(Frozen):
         init(self, "layout", layout)
 
 
-def record_from_fields(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
-    """ResultRecord(n=n, k=k, lam=lam, coeff=coeff) for a tuple of ints,
-    validating lam once: a partition of at most n parts is padded and stored
-    as it is, and anything else goes to the checking constructor, which
-    refuses it with as_partition's message."""
-    if len(lam) > n or (lam and lam[-1] < 0) or not all(map(ge, lam, lam[1:])):
-        return ResultRecord(n=n, k=k, lam=lam, coeff=coeff)
-    if len(lam) < n:
-        lam += (0,) * (n - len(lam))
-    return enumerated_record(n, k, lam, coeff)
-
-
 def enumerated_record(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
     """ResultRecord(n=n, k=k, lam=lam, coeff=coeff) for lam a partition
     padded to n parts already, such as the admissible enumeration makes:
@@ -100,8 +87,8 @@ def enumerated_record(n: int, k: int, lam: IntVec, coeff: int) -> ResultRecord:
     return record
 
 
-# a table has one part count, so a small bound keeps every template in use
-@functools.lru_cache(maxsize=32)
+# one template per format and part count, and a table has one part count
+@functools.cache
 def _template(fmt: str, parts: int) -> str:
     """%-template of one record line without its newline, for a record with
     `parts` lambda parts, taking (n, k, *lam, coeff). The JSONL one is what
@@ -143,11 +130,12 @@ def _json_value(line: str):
     return value
 
 
-def record_fields_from_jsonl(line: str) -> tuple[int, int, IntVec, int]:
-    """The n, k, lambda and coefficient of one JSONL record, refusing the
-    bools and floats that int() would take and any coefficient that is not a
-    decimal string. No record is built, so a caller can refuse an n before
-    lambda is padded to n parts."""
+def record_fields_from_jsonl(line: str) -> tuple[int, int, list, int]:
+    """The n, k, lambda and coefficient of one JSONL record, refusing an n or
+    k that is not a JSON integer and any coefficient that is not a decimal
+    string. lambda is returned as the JSON list it is, its parts unchecked
+    until a ResultRecord is built from it; no record is built here, so a
+    caller can refuse an n before lambda is padded to n parts."""
     obj = _json_value(line)
     lam = obj["lambda"]
     if type(lam) is not list:
@@ -157,13 +145,11 @@ def record_fields_from_jsonl(line: str) -> tuple[int, int, IntVec, int]:
         raise ValueError(f"coeff must be a decimal integer string, got {coeff!r}")
     n = _json_int(obj["n"], "n")
     k = _json_int(obj["k"], "k")
-    if not set(map(type, lam)) <= {int}:
-        raise ValueError(f"lambda parts must be JSON integers, got {lam!r}")
-    return n, k, tuple(lam), int(coeff)
+    return n, k, lam, int(coeff)
 
 
 def record_from_jsonl(line: str) -> ResultRecord:
-    return record_from_fields(*record_fields_from_jsonl(line))
+    return ResultRecord(*record_fields_from_jsonl(line))
 
 
 def record_to_csv(r: ResultRecord) -> str:
@@ -175,7 +161,7 @@ def record_from_csv(line: str) -> ResultRecord:
     parts = lam.split(" ")
     if not all(map(_DECIMAL.fullmatch, (n, k, coeff, *parts))):
         raise ValueError(f"CSV fields must be decimal integers, got {line!r}")
-    return record_from_fields(int(n), int(k), tuple(map(int, parts)), int(coeff))
+    return ResultRecord(int(n), int(k), map(int, parts), int(coeff))
 
 
 def write_records(records: Iterable[ResultRecord], fmt: str) -> Iterator[str]:

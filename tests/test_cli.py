@@ -611,6 +611,70 @@ def test_merge_refuses_a_missing_or_unknown_layout(tmp_path, capsys, edit, messa
     assert not (tmp_path / "m.jsonl").exists()
 
 
+def _zero_checksum(lines):
+    checksum = json.loads(lines[0])["manifest"]["checksum"]
+    return [lines[0].replace(checksum, "0" * 64), *lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda lines: [], "{path} is empty", id="empty"),
+        pytest.param(lambda lines: lines[1:],
+                     "{path}:1: ValueError: shard file does not start with a manifest line",
+                     id="no-manifest"),
+        pytest.param(_zero_checksum, "checksum does not match the admissible enumeration",
+                     id="checksum"),
+    ],
+)
+def test_merge_refuses_an_empty_file_or_a_missing_or_false_manifest(tmp_path, capsys, edit, message):
+    (path,) = _write_shards(tmp_path, capsys, 4, 1, 1)
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    code, out, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 2
+    assert err == f"merge failure: {message.format(path=path)}\n"
+    assert out == ""
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_merge_of_an_unreadable_path_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "missing.jsonl"
+    code, out, err = run_cli(["merge", str(path), "--out", str(tmp_path / "m.jsonl")], capsys)
+    assert code == 1
+    assert err == (f"error: cannot read {path}: "
+                   f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'\n")
+    assert out == ""
+    assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_merge_skips_blank_lines_between_records(tmp_path, capsys):
+    paths = _write_shards(tmp_path, capsys, 4, 1, 2)
+    plain = tmp_path / "plain.jsonl"
+    assert run_cli(["merge", *map(str, paths), "--out", str(plain)], capsys)[0] == 0
+    lines = paths[0].read_text().splitlines()
+    paths[0].write_text("\n".join([lines[0], lines[1], "", lines[2], " \t", *lines[3:]]) + "\n\n")
+    spaced = tmp_path / "spaced.jsonl"
+    assert run_cli(["merge", *map(str, paths), "--out", str(spaced)], capsys) == (0, "", "")
+    assert spaced.read_bytes() == plain.read_bytes()
+
+
+def test_verify_reports_an_engine_that_disagrees_with_the_oracle(capsys, monkeypatch):
+    real = coefficients.expand
+    lam = (4, 2, 0)
+    want = real(3, 1).terms[lam]
+
+    def wrong(n, k):
+        table = real(n, k)
+        return coefficients.SchurExpansion(n, k, {**table.terms, lam: want + 1})
+
+    # the command imports expand when it runs, so it is patched where it lives
+    monkeypatch.setattr("vanschur.coefficients.expand", wrong)
+    code, out, err = run_cli(["verify", "--n", "3", "--k", "1"], capsys)
+    assert code == 2
+    assert err == f"mismatch at lambda=[4, 2, 0]: engine {want + 1}, oracle {want}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("layout", [None, "pair-class"])
 def test_merge_refuses_shards_cut_at_positions_j_mod_s(tmp_path, capsys, layout):
     # the shards of earlier versions: shard j of S held the positions j mod S,

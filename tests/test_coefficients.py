@@ -31,6 +31,19 @@ def test_inadmissible_partition_vanishes_immediately():
     assert g_coefficient((6, 0, 0), 3, 1) == 0
 
 
+def test_a_partition_of_non_ints_is_refused_not_rounded():
+    # int() would read each of these as (4, 1, 1), whose coefficient is -3
+    for lam in [(4.5, 1, 1), [4.0, 1, 1], (True, 1, 1)]:
+        with pytest.raises(ValueError, match="is not an int"):
+            g_coefficient(lam, 3, 1)
+        with pytest.raises(ValueError, match="is not an int"):
+            g_coefficients([(4, 1, 1), lam], 3, 1)
+    table = expand(3, 1)
+    assert table.coefficient([4, 1, 1]) == -3
+    with pytest.raises(ValueError, match="is not an int"):
+        table.coefficient((4.0, 1, 1))
+
+
 def test_coefficients_match_bruteforce_even_off_window():
     # exhaustively: every strictly decreasing exponent of V^(2k+1) either
     # sits in the admissible window or carries coefficient zero, and inside
@@ -106,6 +119,14 @@ def test_workers_are_capped_by_the_cpu_count(monkeypatch, cpus):
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     assert list(expand(4, 1, workers=50000)) == list(expand(4, 1))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fewer_than_one_worker_is_refused(workers):
+    with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        coefficients.iter_terms(enumerate_admissible(3, 1), 3, 1, workers)
+    with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        g_coefficients([(4, 1, 1)], 3, 1, workers)
 
 
 def complement(lam, n, k):

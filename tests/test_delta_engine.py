@@ -43,6 +43,8 @@ def test_spec_validation():
         DeltaSpec(((1, 0), (1, 0), (1, 0)))  # odd count
     with pytest.raises(ValueError):
         DeltaSpec(((1, 0), (1, 0, 0)))  # ragged
+    with pytest.raises(ValueError, match="is not an int"):
+        DeltaSpec([(1.5, 0), (0, 0)])  # int() would make (1, 0)
 
 
 def test_weight_ok_examples():

@@ -67,6 +67,10 @@ def test_is_admissible_examples():
     assert not is_admissible((3, 0), 2, 1)
     assert not is_admissible((1, 1, 1), 2, 1)  # too many parts
     assert not is_admissible((2, 1), 2, 1)  # wrong weight
+    # a part that is not an int is refused, not rounded: int() would make
+    # both (4, 1, 1), which is admissible
+    assert not is_admissible((4.9, 1, 1), 3, 1)
+    assert not is_admissible(("4", "1", "1"), 3, 1)
 
 
 def test_enumeration_small():
@@ -168,6 +172,11 @@ def test_as_partition_validation():
         as_partition((1, -1))
     with pytest.raises(ValueError):
         as_partition((1, 1, 1), 2)
+    # only parts whose type is exactly int: no bool, float or string
+    for entries in [(True, False), (4.5, 1, 1), (4.0, 1), ("4", "1"), (3, 1.0)]:
+        with pytest.raises(ValueError, match="is not an int"):
+            as_partition(entries)
+    assert as_partition([4, 1], 3) == (4, 1, 0)
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (3, 2), (5, 1), (6, 1), (4, 3)])

@@ -184,6 +184,21 @@ def test_jsonl_refusals(line):
         record_from_jsonl(line)
 
 
+def test_a_record_takes_a_list_of_ints_and_refuses_other_parts():
+    assert ResultRecord(n=3, k=1, lam=[4, 1], coeff=3).lam == (4, 1, 0)
+    assert ResultRecord(n=3, k=1, lam=[4, 1], coeff=3) == ResultRecord(3, 1, (4, 1, 0), 3)
+    # int() would store (4, 1, 0) for each
+    for lam in [[4.7, 1], [4, True], ["4", "1"]]:
+        with pytest.raises(ValueError, match="is not an int"):
+            ResultRecord(n=3, k=1, lam=lam, coeff=3)
+
+
+def test_an_unknown_format_is_refused_with_or_without_records():
+    for recs in ([], [ResultRecord(n=2, k=1, lam=(2, 0), coeff=1)]):
+        with pytest.raises(KeyError, match="xml"):
+            list(write_records(recs, "xml"))
+
+
 def test_jsonl_keeps_what_json_loads_accepts():
     want = ResultRecord(n=4, k=1, lam=(4, 1, 1), coeff=-3)
     for line in [
