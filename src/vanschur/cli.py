@@ -27,6 +27,7 @@ from typing import Sequence
 from .partitions import (_within_bounds, as_partition, count_admissible, deal,
                          enumerate_admissible, gather, pair_class)
 from .records import (
+    _DECIMAL,
     ResultRecord,
     ShardManifest,
     enumerated_record,
@@ -64,9 +65,18 @@ def _check_cell(n: int, k: int) -> None:
                          f"n <= {MAX_N} and k <= {MAX_K}")
 
 
+def _decimal(text: str) -> int:
+    """An integer as records write one, an optional minus sign and ASCII
+    digits: int() would also take "+4", " 4", "1_0" and other scripts'
+    digits. Every integer on the command line is read with it."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_lambda(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(_decimal, text.split(",")))
     except ValueError:
         raise ValueError(f"cannot parse partition {text!r}")
 
@@ -309,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=_decimal, required=True)
+        p.add_argument("--k", type=_decimal, required=True)
 
     p = sub.add_parser("coeff", help="one coefficient without computing the others")
     common(p)
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="all admissible coefficients of (n, k)")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_decimal, default=1)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_expand)
@@ -336,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shard", help="compute one deterministic slice of (n, k)")
     common(p)
-    p.add_argument("--shards", type=int, required=True)
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--shards", type=_decimal, required=True)
+    p.add_argument("--index", type=_decimal, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_shard)
 

@@ -14,8 +14,8 @@ The block split is tried only in `_lookup`: on the spec `evaluate` is given
 and on the blocks of its splits, whose companions are all zero vectors when
 the spec is a coefficient's. Pivot children go straight to the pivot sum,
 because the split hardly ever applies to them: on the (8,1) table, trying it
-on every miss (34,210 `_split` calls) saves 5 of 34,215 misses, while never
-trying it at all would raise them to 36,667.
+on every miss (34,221 `_split` calls) saves 5 of 34,226 misses, while never
+trying it at all would raise them to 36,678.
 
 The weight (K-1)n(n-1) is checked once, on the spec `evaluate` is given:
 the pivot children and the split blocks of a spec of that weight have it
@@ -29,19 +29,18 @@ weight fixes the sum of the shifts, so the key needs no total shift. Each
 group-table row carries the product of the primes it strikes, so the pivot
 enumeration builds each child's key with one multiply per group.
 
-The pivot enumeration groups equal companions and walks the groups' tables
-in turn, all but the last, which is looked up by the value sum the others
-leave: one probe where a walk costs a row. So the group with the most
-companions, whose table is the largest, goes last when its table is
-strictly larger than the last group's; ties keep the sorted order, so
-three distinct companions (most k=1 calls) keep theirs, and the one k=1
-case that moves keeps its order of children. Partials that leave the same
-sum to the last two groups share one list of their matches, made at the
-first and multiplied out once per pair; a single walked group of single
-companions leaves distinct sums and skips the list. A child's struck
-vectors still come out in group order. On the 234 cold coefficients of the
-benchmark's seed-1 `coeff` sample the rows walked fall from 2,096,531 to
-1,026,752 over 45,871 enumerations. Nothing is kept past the call.
+The pivot enumeration groups equal companions and orders the groups by
+their number of companions, ties in sorted order, with one stable sort. It
+walks the groups' tables in turn, all but the last, which is looked up by
+the value sum the others leave: one probe where a walk costs a row. So the
+group with the most companions, whose table is the largest, is never
+walked. Partials that leave the same sum to the last two groups share one
+list of their matches, made at the first and multiplied out once per pair;
+a single walked group of single companions leaves distinct sums and skips
+the list. A child's struck vectors come out in group order. On the 234 cold
+coefficients of the benchmark's seed-1 `coeff` sample the rows walked fall
+from 2,096,531, before the last group was looked up, to 997,173 over
+45,868 enumerations. Nothing is kept past the call.
 
 `_pivot_sum` probes the memo with each child's key in its own loop and
 recurses only on a miss; a child's vectors are built only then, from the
@@ -82,7 +81,7 @@ few memo counts: 2 of the 480 pooled coefficients, and no table.
 
 The ints a MemoCache keeps, its values and the kept products, are interned
 in the cache, one object per distinct value, and go with it: the (9,1)
-table stores 299,056 values with 10,676 distinct ones.
+table stores 299,118 values with 10,676 distinct ones.
 """
 
 from __future__ import annotations
@@ -341,21 +340,20 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
     v[n-i+1] + i to add up to need = (2K-1)n - first[-1]. Groups equal
     companion vectors and enumerates index multisets group by group, keeping
     only partial choices whose remaining groups can still meet need. The
-    last group is looked up, never walked: each row of the second-to-last
-    group finds its matches by what it leaves among the last group's value
-    sums. So the group with the largest table, the most equal companions, is
-    taken last when its table is strictly larger than the last group's; ties
-    keep the order. Partials that leave the same sum share one list of
-    (second-to-last row, last row) matches, each with its signed count and
-    product of primes multiplied once. Each child's key is ids, a product of
-    slot primes, times the struck companions' primes, multiplied from the
-    products the group tables carry; children that share a key are merged.
-    Returns a dict from each key to [signed_count, chain], in order of first
-    appearance; the count includes the pivot's sign and may be 0. The chain
-    stands for the first child seen with that key in the walk: nested
-    (earlier, struck_vectors) pairs, rooted at None or at where a moved
-    group's struck vectors go back, that _child_vectors turns into the
-    struck companions in group order.
+    groups are taken in order of their number of companions, ties in sorted
+    order, so the last group has the largest table; it is looked up, never
+    walked: each row of the second-to-last group finds its matches by what
+    it leaves among the last group's value sums. Partials that leave the
+    same sum share one list of (second-to-last row, last row) matches, each
+    with its signed count and product of primes multiplied once. Each
+    child's key is ids, a product of slot primes, times the struck
+    companions' primes, multiplied from the products the group tables carry;
+    children that share a key are merged. Returns a dict from each key to
+    [signed_count, chain], in order of first appearance; the count includes
+    the pivot's sign and may be 0. The chain stands for the first child seen
+    with that key in the walk: nested (earlier, struck_vectors) pairs rooted
+    at None, that _child_vectors turns into the struck companions in group
+    order.
     """
     groups: list[list] = []
     prev = None
@@ -365,17 +363,9 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
         else:
             groups.append([v, 1])
             prev = v
-    # the root of every chain: None, or where the struck vectors of the group
-    # moved to the end go back among the others'
-    at = None
-    tail = groups[-1][1]
-    if len(rest) - tail >= len(groups):
-        # an earlier group has two companions or more
-        top = max(groups, key=_COUNT)
-        if top[1] > tail:
-            g = groups.index(top)
-            at = sum([c for _, c in groups[:g]])
-            groups.append(groups.pop(g))
+    # the group with the most companions, whose table is the largest, goes
+    # last, to be looked up; ties keep the sorted order
+    groups.sort(key=_COUNT)
     tables = list(itertools.starmap(_group_table, groups))
     sums, _, by_sum = tables.pop()
     # what the groups after the one walked can add, at least and at most
@@ -384,7 +374,7 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
     sums, rows = tables.pop()[:2] if tables else _LONE_GROUP
 
     # (left, signed_count, chain, ids); the sign starts at i_1 = 1
-    partial = [(need, -1, at, ids)]
+    partial = [(need, -1, None, ids)]
     if tables:
         bounds = []
         low = below + sums[0]
@@ -402,12 +392,7 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
                     grown.append((left - tau, mult * arr, (chain, kids), ids * kid_ids))
             partial = grown
 
-    # the last group's value sum must meet what the second-to-last leaves.
-    # After a move the second-to-last group is walked in descending value
-    # sum: when it is all that is walked and holds one companion, as in the
-    # k=1 calls that move, it meets the moved group's rows in ascending
-    # order, and the children come in the order they came before the move
-    moved = at is not None
+    # the last group's value sum must meet what the second-to-last leaves
     acc: dict = {}
     # a single walked group of single companions leaves distinct sums: its
     # value sums strictly increase
@@ -415,8 +400,7 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
         for left, mult, chain, ids in partial:
             lo = bisect_left(sums, left - above)
             hi = bisect_right(sums, left - below)
-            span = rows[lo:hi]
-            for tau, arr, kids, kid_ids in reversed(span) if moved else span:
+            for tau, arr, kids, kid_ids in rows[lo:hi]:
                 ends = by_sum.get(left - tau)
                 if ends is None:
                     continue
@@ -438,8 +422,7 @@ def _pivot_children(rest: tuple[IntVec, ...], need: int, ids: int):
             pairs = matched[left] = []
             lo = bisect_left(sums, left - above)
             hi = bisect_right(sums, left - below)
-            span = rows[lo:hi]
-            for tau, arr, kids, kid_ids in reversed(span) if moved else span:
+            for tau, arr, kids, kid_ids in rows[lo:hi]:
                 ends = by_sum.get(left - tau)
                 if ends is not None:
                     for _, end_arr, end_kids, end_ids in ends:
@@ -473,15 +456,12 @@ def _kept_children(rest: tuple[IntVec, ...], need: int, ints: dict) -> tuple:
 
 def _child_vectors(chain) -> tuple[IntVec, ...]:
     """The struck companion vectors of a child from its chain, in group
-    order: the last group's go back where its root says, when it moved."""
-    chain, moved = chain
+    order."""
     vectors = ()
-    while chain.__class__ is tuple:
+    while chain is not None:
         chain, kids = chain
         vectors = kids + vectors
-    if chain is None:
-        return vectors + moved
-    return vectors[:chain] + moved + vectors[chain:]
+    return vectors
 
 
 def _widest_first(vectors: tuple[IntVec, ...]) -> tuple[IntVec, ...]:

@@ -47,21 +47,18 @@ def vandermonde(n: int) -> SparsePolynomial:
     return poly
 
 
-def vandermonde_power(
-    n: int, e: int, budget: int = DEFAULT_MONOMIAL_BUDGET
-) -> SparsePolynomial:
+def vandermonde_power(n: int, e: int) -> SparsePolynomial:
     """The expanded e-th power of the Vandermonde product, exactly.
 
     Refuses up front when the stars-and-bars bound on the monomial count
-    exceeds the budget.
+    exceeds DEFAULT_MONOMIAL_BUDGET.
     """
     if n < 1 or e < 0:
         raise ValueError("need n >= 1 and e >= 0")
     bound = comb(e * n * (n - 1) // 2 + n - 1, n - 1)
-    if bound > budget:
-        raise BudgetError(
-            f"vandermonde_power refused: up to {bound} monomials exceed budget {budget}"
-        )
+    if bound > DEFAULT_MONOMIAL_BUDGET:
+        raise BudgetError(f"vandermonde_power refused: up to {bound} monomials "
+                          f"exceed budget {DEFAULT_MONOMIAL_BUDGET}")
     if e == 0:
         return {(0,) * n: 1}
     base = vandermonde(n)
@@ -71,16 +68,14 @@ def vandermonde_power(
     return poly
 
 
-def schur_expansion_bruteforce(
-    n: int, k: int, budget: int = DEFAULT_MONOMIAL_BUDGET
-) -> SchurExpansion:
+def schur_expansion_bruteforce(n: int, k: int) -> SchurExpansion:
     """Coefficients read directly off the expansion of V^(2k+1).
 
     The coefficient of s_lam in V^(2k) equals the coefficient of the monomial
     z^(lam + staircase) in V^(2k+1). Every strictly decreasing exponent
     outside the admissible window is checked to carry coefficient 0.
     """
-    poly = vandermonde_power(n, 2 * k + 1, budget)
+    poly = vandermonde_power(n, 2 * k + 1)
     staircase = tuple(range(n - 1, -1, -1))
     terms: dict[IntVec, int] = {}
     for lam in enumerate_admissible(n, k):

@@ -1,5 +1,8 @@
+import concurrent.futures
 import errno
+import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -66,6 +69,55 @@ def test_coeff_refuses_a_negative_part_or_too_many_parts(capsys, lam, message):
     code, out, err = run_cli(["coeff", "--n", "2", "--k", "1", "--lambda", lam], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("lam", ["+4,1,1", "\u0664,1,1", "4,1,1_0", " 4,1,1"])
+def test_coeff_reads_parts_only_as_records_write_them(capsys, lam):
+    # int() takes each of these, all as (4, 1, 1) but the third, which it
+    # reads as (4, 1, 10); the second starts with an Arabic-Indic four
+    code, out, err = run_cli(["coeff", "--n", "3", "--k", "1", "--lambda", lam], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse partition {lam!r}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["admissible", "--n", "\u0663", "--k", "1", "--count-only"],
+        ["admissible", "--n", "1_0", "--k", "1", "--count-only"],
+        ["admissible", "--n", "3", "--k", "+1", "--count-only"],
+        ["expand", "--n", "3", "--k", "1", "--jobs", "\u0662"],
+        ["shard", "--n", "3", "--k", "1", "--shards", "+2", "--index", "0"],
+        ["shard", "--n", "3", "--k", "1", "--shards", "2", "--index", "0_0"],
+    ],
+    ids=["n-arabic-indic", "n-underscore", "k-plus", "jobs", "shards", "index"],
+)
+def test_integer_flags_take_only_ascii_decimals(capsys, args):
+    # int() would count the (3,1) or (10,1) table, or run the command
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: vanschur {args[0]} ")
+
+
+def _dies(args):
+    os._exit(1)
+
+
+def test_a_worker_that_dies_is_one_line_and_no_output(tmp_path, capsys, monkeypatch):
+    # a worker killed with SIGKILL leaves the pool broken; forked workers see
+    # the patched class runner and end at once
+    monkeypatch.setattr(coefficients, "_class_values", _dies)
+    monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=fork))
+    target = tmp_path / "x.jsonl"
+    code, out, err = run_cli(
+        ["expand", "--n", "6", "--k", "1", "--jobs", "2", "--out", str(target)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: a worker process ended before its class was done\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_required_flag_is_usage_error(capsys):
