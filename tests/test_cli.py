@@ -522,6 +522,8 @@ def test_merge_rejects_duplicate_shard(tmp_path, capsys):
     )
     assert code == 2
     assert "duplicate" in err
+    assert err == "merge failure: duplicate shard index 0\n"
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 def test_merge_rejects_foreign_manifest(tmp_path, capsys):
@@ -533,6 +535,8 @@ def test_merge_rejects_foreign_manifest(tmp_path, capsys):
     )
     assert code == 2
     assert "disagree" in err or "checksum" in err
+    assert err == "merge failure: manifests disagree on (n, k, shards, checksum)\n"
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -626,6 +630,15 @@ def test_shard_rejects_bad_shard_numbers(capsys, shards, index, flag):
     assert flag in err
 
 
+def test_shard_index_outside_the_shards_is_one_line_and_no_output(tmp_path, capsys):
+    target = tmp_path / "s.jsonl"
+    code, out, err = run_cli(["shard", "--n", "3", "--k", "1", "--shards", "2", "--index", "2",
+                              "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: index 2 outside 0..1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_merge_rejects_tampered_records(tmp_path, capsys):
     paths = _write_shards(tmp_path, capsys, 4, 1, 2)
     lines = paths[0].read_text().splitlines()
@@ -636,6 +649,9 @@ def test_merge_rejects_tampered_records(tmp_path, capsys):
     )
     assert code == 2
     assert "shard 0" in err
+    assert err == (f"merge failure: shard 0 ({paths[0]}) holds {len(lines) - 1} records, "
+                   f"its manifest claims {len(lines)}\n")
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 @pytest.mark.parametrize(
