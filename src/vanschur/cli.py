@@ -3,8 +3,12 @@ verification, and deterministic file-based sharding.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure,
 3 out of memory, 141 (128 + SIGPIPE) when the reader of the output closes it
-early. Every command but merge refuses n or k outside 1..MAX_N and 1..MAX_K
-before it pads or enumerates anything.
+early. A command raises where it finds a fault, and `main` alone reports it,
+in one stderr line, and picks the code: ValueError or OSError 1, a
+verification or merge failure 2, MemoryError 3, a closed pipe 141. A bad flag
+prints the usage and a line that names the flag, and exits 1. Every command
+but merge refuses n or k outside 1..MAX_N and 1..MAX_K before it pads or
+enumerates anything.
 
 `expand` and `shard` write each record as soon as its value is known. To
 stdout, a failure therefore exits nonzero after a prefix of the records;
@@ -51,10 +55,15 @@ MAX_N = 16
 MAX_K = 16
 
 
+class _Failure(Exception):
+    """A verification or merge failure; its message is the whole stderr
+    line, and `main` exits VERIFY_EXIT with it."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def _check_cell(n: int, k: int) -> None:
@@ -70,14 +79,21 @@ def _decimal(text: str) -> int:
     digits: int() would also take "+4", " 4", "1_0" and other scripts'
     digits. Every integer on the command line is read with it."""
     if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def _at_least_one(text: str) -> int:
+    value = _decimal(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:
     try:
         return tuple(map(_decimal, text.split(",")))
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise ValueError(f"cannot parse partition {text!r}")
 
 
@@ -116,11 +132,7 @@ def _output(path: str | None):
 
 def cmd_coeff(args) -> int:
     n, k = args.n, args.k
-    try:
-        lam = as_partition(_parse_lambda(args.lam), n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    lam = as_partition(_parse_lambda(args.lam), n)
     if not _within_bounds(lam, n, k):
         print(f"warning: {list(lam)} is not admissible for n={n}, k={k}; coefficient is 0",
               file=sys.stderr)
@@ -161,30 +173,19 @@ def cmd_verify(args) -> int:
     try:
         reference = schur_expansion_bruteforce(args.n, args.k)
     except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise ValueError(str(exc)) from exc
     engine = expand(args.n, args.k)
     for lam, g in engine:
         expected = reference.terms[lam]
         if g != expected:
-            print(
-                f"mismatch at lambda={list(lam)}: engine {g}, oracle {expected}",
-                file=sys.stderr,
-            )
-            return VERIFY_EXIT
+            raise _Failure(f"mismatch at lambda={list(lam)}: engine {g}, oracle {expected}")
     print(f"verified n={args.n} k={args.k}: {len(engine)} coefficients agree")
     return 0
 
 
 def cmd_shard(args) -> int:
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return USAGE_EXIT
     if not 0 <= args.index < args.shards:
-        print(
-            f"error: index {args.index} outside 0..{args.shards - 1}", file=sys.stderr
-        )
-        return USAGE_EXIT
+        raise ValueError(f"index {args.index} outside 0..{args.shards - 1}")
     from .coefficients import iter_terms
 
     n, k, shards, index = args.n, args.k, args.shards, args.index
@@ -216,11 +217,9 @@ def cmd_merge(args) -> int:
         try:
             lines = Path(path).read_bytes().splitlines()
         except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+            raise OSError(f"cannot read {path}: {exc}") from exc
         if not lines:
-            print(f"merge failure: {path} is empty", file=sys.stderr)
-            return VERIFY_EXIT
+            raise _Failure(f"merge failure: {path} is empty")
         records: list[ResultRecord] = []
         for lineno, line in enumerate(lines, start=1):
             if lineno > 1 and not line.strip():
@@ -244,32 +243,21 @@ def cmd_merge(args) -> int:
                     continue
             except (ValueError, KeyError, TypeError) as exc:
                 problem = f"{type(exc).__name__}: {exc}"
-            print(f"merge failure: {path}:{lineno}: {problem}", file=sys.stderr)
-            return VERIFY_EXIT
+            raise _Failure(f"merge failure: {path}:{lineno}: {problem}")
         if manifest.index in shard_records:
-            print(
-                f"merge failure: duplicate shard index {manifest.index}",
-                file=sys.stderr,
-            )
-            return VERIFY_EXIT
+            raise _Failure(f"merge failure: duplicate shard index {manifest.index}")
         # checks that need no enumeration come first: records that contradict
         # their manifest are refused before its claimed (n, k) is enumerated
         if len(records) != manifest.count:
-            print(
-                f"merge failure: shard {manifest.index} ({path}) holds "
-                f"{len(records)} records, its manifest claims {manifest.count}",
-                file=sys.stderr,
-            )
-            return VERIFY_EXIT
+            raise _Failure(f"merge failure: shard {manifest.index} ({path}) holds "
+                           f"{len(records)} records, its manifest claims {manifest.count}")
         manifests.append(manifest)
         shard_records[manifest.index] = records
 
     ref = manifests[0]
     for m in manifests[1:]:
         if (m.n, m.k, m.shards, m.checksum) != (ref.n, ref.k, ref.shards, ref.checksum):
-            print("merge failure: manifests disagree on (n, k, shards, checksum)",
-                  file=sys.stderr)
-            return VERIFY_EXIT
+            raise _Failure("merge failure: manifests disagree on (n, k, shards, checksum)")
 
     # indices are distinct and below ref.shards, so naming the missing ones
     # costs no more than the files given
@@ -277,25 +265,20 @@ def cmd_merge(args) -> int:
     if missing:
         named = list(islice((j for j in range(ref.shards) if j not in shard_records), 5))
         more = f" and {missing - len(named)} more" if missing > len(named) else ""
-        print(f"merge failure: missing shard index(es) {named}{more}", file=sys.stderr)
-        return VERIFY_EXIT
+        raise _Failure(f"merge failure: missing shard index(es) {named}{more}")
     # with every shard present the table is exactly the records held, so the
     # claimed (n, k) is enumerated no further than one partition beyond them
     held = sum(m.count for m in manifests)
     if not held:
-        print("merge failure: the shards hold no records, and no admissible "
-              "table is empty", file=sys.stderr)
-        return VERIFY_EXIT
+        raise _Failure("merge failure: the shards hold no records, and no admissible "
+                       "table is empty")
     lams = list(islice(enumerate_admissible(ref.n, ref.k), held + 1))
     if len(lams) != held:
         size = f"more than {held}" if len(lams) > held else len(lams)
-        print(f"merge failure: (n, k) = ({ref.n}, {ref.k}) has {size} admissible "
-              f"partitions, the shards hold {held} records", file=sys.stderr)
-        return VERIFY_EXIT
+        raise _Failure(f"merge failure: (n, k) = ({ref.n}, {ref.k}) has {size} admissible "
+                       f"partitions, the shards hold {held} records")
     if ref.checksum != enumeration_checksum(ref.n, ref.k, lams):
-        print("merge failure: checksum does not match the admissible enumeration",
-              file=sys.stderr)
-        return VERIFY_EXIT
+        raise _Failure("merge failure: checksum does not match the admissible enumeration")
 
     # each position takes its record from the shard of its class; a shard
     # that runs short leaves None
@@ -305,9 +288,7 @@ def cmd_merge(args) -> int:
         # some shard then differs from its class of the enumeration
         own = deal(lams, ref.n, ref.k, ref.shards)
         j = next(j for j, part in enumerate(parts) if [r.lam for r in part] != own[j])
-        print(f"merge failure: shard {j} does not match the canonical enumeration",
-              file=sys.stderr)
-        return VERIFY_EXIT
+        raise _Failure(f"merge failure: shard {j} does not match the canonical enumeration")
 
     with _output(args.out) as out:
         out.writelines(write_records(merged, args.format))
@@ -330,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="all admissible coefficients of (n, k)")
     common(p)
-    p.add_argument("--jobs", type=_decimal, default=1)
+    p.add_argument("--jobs", type=_at_least_one, default=1)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_expand)
@@ -346,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shard", help="compute one deterministic slice of (n, k)")
     common(p)
-    p.add_argument("--shards", type=_decimal, required=True)
+    p.add_argument("--shards", type=_at_least_one, required=True)
     p.add_argument("--index", type=_decimal, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_shard)
@@ -389,6 +370,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return MEMORY_EXIT
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return VERIFY_EXIT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -49,8 +49,9 @@ its first vector, which the pivot sum knew. A pivot child's prime is looked
 up from the pivot's prime in `_HEAD_IDS`, with no vector built or shifted;
 the pivot's prime is looked up from its vector only when `_widest_first`
 moves another vector to the pivot slot. The prime table and the group
-tables are process-wide and unbounded: the (8,1) table interns 6,406 slot
-vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2) 1,811.
+tables are process-wide and unbounded: the (8,1) table interns 6,423 slot
+vectors, and 456 cold coefficients of (9,1), (5,4) and (7,2), each with a
+fresh MemoCache in one process, 1,840.
 
 The children of one pivot differ only in what the companions, the vectors
 other than the pivot, strike; the pivot's own child is the same for all of

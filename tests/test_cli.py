@@ -97,6 +97,30 @@ def test_integer_flags_take_only_ascii_decimals(capsys, args):
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"usage: vanschur {args[0]} ")
+    # the usage is followed by a line that names the flag refused
+    ((flag, value),) = [(flag, value) for flag, value in zip(args[1::2], args[2::2])
+                        if not (value.isascii() and value.isdigit())]
+    assert err.splitlines()[-1] == (f"vanschur {args[0]}: error: argument {flag}: "
+                                    f"not a decimal integer: {value!r}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--n", "3", "--k", "1", "--jobs", "0"],
+        ["expand", "--n", "3", "--k", "1", "--jobs", "-1"],
+        ["shard", "--n", "3", "--k", "1", "--shards", "0", "--index", "0"],
+    ],
+    ids=["jobs-0", "jobs-minus-1", "shards-0"],
+)
+def test_a_count_below_one_names_its_flag(tmp_path, capsys, args):
+    target = tmp_path / "x.jsonl"
+    code, out, err = run_cli([*args, "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: vanschur {args[0]} ")
+    assert err.splitlines()[-1] == (f"vanschur {args[0]}: error: argument {args[5]}: "
+                                    f"must be >= 1, got {args[6]}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _dies(args):
