@@ -13,7 +13,6 @@ import importlib
 
 # each public name and the module that defines it
 _HOMES = {
-    "SchurExpansion": "coefficients",
     "count_vanishing": "coefficients",
     "expand": "coefficients",
     "factorize_g": "coefficients",
@@ -28,6 +27,7 @@ _HOMES = {
     "vandermonde_power": "oracle",
     "enumerate_admissible": "partitions",
     "is_admissible": "partitions",
+    "SchurExpansion": "records",
 }
 
 __all__ = sorted(_HOMES)

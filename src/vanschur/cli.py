@@ -1,5 +1,6 @@
 """Command-line surface: single coefficients, expansions, counts, oracle
-verification, and deterministic file-based sharding.
+verification, deterministic file-based sharding, and the study grid of
+admissible and vanishing counts.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 verification/merge failure,
 3 out of memory, 141 (128 + SIGPIPE) when the reader of the output closes it
@@ -7,15 +8,16 @@ early. A command raises where it finds a fault, and `main` alone reports it,
 in one stderr line, and picks the code: ValueError or OSError 1, a
 verification or merge failure 2, MemoryError 3, a closed pipe 141. A bad flag
 prints the usage and a line that names the flag, and exits 1. Every command
-but merge refuses n or k outside 1..MAX_N and 1..MAX_K before it pads or
-enumerates anything.
+but merge and grid refuses n or k outside 1..MAX_N and 1..MAX_K before it pads
+or enumerates anything.
 
 `expand` and `shard` write each record as soon as its value is known. To
 stdout, a failure therefore exits nonzero after a prefix of the records;
 --out replaces its target only when the whole table is written.
 
-Each command imports what it uses when it runs: `admissible` and `merge` load
-neither the engine nor the oracle, and only `verify` loads the oracle.
+Each command imports what it uses when it runs: `admissible`, `merge` and
+`grid --count-only` load neither the engine nor the oracle, and only `verify`
+loads the oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ PIPE_EXIT = 141
 MAX_N = 16
 MAX_K = 16
 
+# the n of each k in `grid`; --nmax-k1 sets the last n of the k=1 column
+DEFAULT_GRID = {1: range(2, 9), 2: range(2, 7), 3: range(2, 6), 4: range(2, 6), 5: range(2, 5)}
+
 
 class _Failure(Exception):
     """A verification or merge failure; its message is the whole stderr
@@ -90,11 +95,25 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _nmax_k1(text: str) -> int:
+    value = _decimal(text)
+    if not 2 <= value <= 11:
+        raise argparse.ArgumentTypeError(f"must be between 2 and 11, got {value}")
+    return value
+
+
 def _parse_lambda(text: str) -> tuple[int, ...]:
     try:
         return tuple(map(_decimal, text.split(",")))
     except argparse.ArgumentTypeError:
         raise ValueError(f"cannot parse partition {text!r}")
+
+
+def _open_output(file, mode: str, path: str):
+    try:
+        return open(file, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(f"cannot open output {path}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -110,15 +129,12 @@ def _output(path: str | None):
     if os.path.exists(path) and not os.path.isfile(path):
         # a pipe or device has no partial file to protect; renaming onto it
         # would replace the node itself
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
+        with _open_output(path, "w", path) as out:
             yield out
         return
     target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        out = open(tmp, "x", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot open output {path}: {exc.strerror}") from exc
+    out = _open_output(tmp, "x", path)
     try:
         with out:
             if target.exists():
@@ -295,6 +311,24 @@ def cmd_merge(args) -> int:
     return 0
 
 
+def cmd_grid(args) -> int:
+    import time
+
+    if not args.count_only:
+        from .coefficients import count_vanishing
+    grid = {**DEFAULT_GRID, 1: range(2, args.nmax_k1 + 1)}
+    print(f"{'k':>2} {'n':>3} {'admissible':>12} {'vanishing':>10} {'seconds':>9}")
+    for k, ns in grid.items():
+        for n in ns:
+            t0 = time.time()
+            if args.count_only:
+                adm, nil = count_admissible(n, k), "-"
+            else:
+                adm, nil = count_vanishing(n, k, workers=args.jobs)
+            print(f"{k:>2} {n:>3} {adm:>12} {nil:>10} {time.time() - t0:>9.2f}", flush=True)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vanschur", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,10 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_merge)
 
+    p = sub.add_parser("grid", help="admissible and vanishing counts of the study grid")
+    p.add_argument("--nmax-k1", type=_nmax_k1, default=8,
+                   help="largest n of the k=1 column, 2 to 11 (default 8)")
+    p.add_argument("--jobs", type=_at_least_one, default=1)
+    p.add_argument("--count-only", action="store_true", help="admissible counts alone")
+    p.set_defaults(fn=cmd_grid)
+
     return parser
 
 
-def closed_pipe_exit() -> int:
+def _closed_pipe_exit() -> int:
     """PIPE_EXIT, once stdout is pointed at devnull: after its reader closed
     it, what stdout still buffers can never be delivered, and the exit flush
     must not fail a second time."""
@@ -358,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        if args.command != "merge":
+        if args.command not in ("merge", "grid"):
             _check_cell(args.n, args.k)
         code = args.fn(args)
         # a reader that leaves early shows here at the latest, not in the
@@ -366,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        return closed_pipe_exit()
+        return _closed_pipe_exit()
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return MEMORY_EXIT

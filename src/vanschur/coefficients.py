@@ -19,39 +19,8 @@ import os
 from typing import Iterable, Iterator, Sequence
 
 from .delta_engine import DeltaSpec, MemoCache, _split, evaluate
-from .partitions import (
-    Frozen,
-    IntVec,
-    _within_bounds,
-    as_partition,
-    deal,
-    enumerate_admissible,
-    gather,
-)
-
-
-class SchurExpansion(Frozen):
-    """All coefficients of one (n, k), keyed by partition in reverse-lex order."""
-
-    __slots__ = ("n", "k", "terms")
-
-    def __init__(self, n: int, k: int, terms: dict[IntVec, int]):
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "k", k)
-        init(self, "terms", terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def coefficient(self, lam: Sequence[int]) -> int:
-        return self.terms.get(as_partition(lam, self.n), 0)
-
-    def vanishing(self) -> list[IntVec]:
-        return [lam for lam, g in self.terms.items() if g == 0]
+from .partitions import IntVec, _within_bounds, as_partition, deal, enumerate_admissible, gather
+from .records import SchurExpansion
 
 
 def g_coefficient(

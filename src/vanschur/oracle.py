@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .coefficients import SchurExpansion
 from .partitions import IntVec, enumerate_admissible, is_admissible
+from .records import SchurExpansion
 
 Monomial = tuple[int, ...]
 SparsePolynomial = dict[Monomial, int]

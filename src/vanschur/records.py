@@ -1,4 +1,5 @@
-"""Wire formats for coefficient records and shard manifests.
+"""Wire formats for coefficient records and shard manifests, and the
+`SchurExpansion` table that the engine and the oracle both return.
 
 Coefficients travel as decimal strings so values beyond 64 bits survive any
 consumer; both encodings are byte-deterministic for fixed inputs.
@@ -19,7 +20,7 @@ import functools
 import json
 import re
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import Frozen, IntVec, as_partition, enumerate_admissible
 
@@ -44,6 +45,30 @@ class ResultRecord(Frozen):
         init(self, "k", k)
         init(self, "lam", as_partition(lam, n))
         init(self, "coeff", coeff)
+
+
+class SchurExpansion(Frozen):
+    """All coefficients of one (n, k), keyed by partition in reverse-lex order."""
+
+    __slots__ = ("n", "k", "terms")
+
+    def __init__(self, n: int, k: int, terms: dict[IntVec, int]):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "k", k)
+        init(self, "terms", terms)
+
+    def __iter__(self):
+        return iter(self.terms.items())
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def coefficient(self, lam: Sequence[int]) -> int:
+        return self.terms.get(as_partition(lam, self.n), 0)
+
+    def vanishing(self) -> list[IntVec]:
+        return [lam for lam, g in self.terms.items() if g == 0]
 
 
 # how `shard` cuts a table: shard j of S holds the admissible partitions whose

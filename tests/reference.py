@@ -100,33 +100,44 @@ def child_spec(spec: DeltaSpec, tup: Sequence[int]) -> DeltaSpec:
     total = sum(v[n - i] for v, i in zip(spec.vectors, tup)) + sum(tup)
     if total != delta_target(spec):
         raise ValueError(f"tuple {list(tup)} misses the delta target (caller bug)")
+    return DeltaSpec(tuple(ways[i] for ways, i in zip(_strikes(spec), tup)))
+
+
+def _strikes(spec: DeltaSpec) -> list[list[IntVec | None]]:
+    """Per slot, its vector struck at each index i in 1..n (entry i), as
+    child_spec strikes it; each distinct companion vector is struck once."""
+    n = spec.n
     drop = 2 * (spec.half - 1)
-    children = []
-    for j, (v, i) in enumerate(zip(spec.vectors, tup)):
-        cut = n - i
-        if j == 0:
-            children.append(
-                tuple(x - drop for x in v[:cut]) + tuple(x - drop - 1 for x in v[cut + 1 :])
-            )
-        else:
-            children.append(tuple(x + 1 for x in v[:cut]) + v[cut + 1 :])
-    return DeltaSpec(tuple(children))
+    first, companions = spec.vectors[0], spec.vectors[1:]
+    pivot = [None] + [tuple(x - drop for x in first[: n - i])
+                      + tuple(x - drop - 1 for x in first[n - i + 1 :]) for i in range(1, n + 1)]
+    struck = {v: [None] + [tuple(x + 1 for x in v[: n - i]) + v[n - i + 1 :]
+                           for i in range(1, n + 1)]
+              for v in set(companions)}
+    return [pivot] + [struck[v] for v in companions]
 
 
 def iter_subspecs(spec: DeltaSpec) -> Iterator[DeltaSpec]:
-    """Every spec reachable through the pivot recursion, once per key."""
+    """Every spec reachable through the pivot recursion, once per key.
+
+    A child is keyed from its struck vectors when it is found, and built and
+    checked through child_spec only when it is popped with its key unseen.
+    """
     seen = set()
-    stack = [spec]
+    stack = [(canonical_key(spec.vectors), spec, None)]
     while stack:
-        cur = stack.pop()
-        key = canonical_key(cur.vectors)
+        key, parent, tup = stack.pop()
         if key in seen:
             continue
         seen.add(key)
+        cur = parent if tup is None else child_spec(parent, tup)
         yield cur
         if cur.n >= 2 and weight_ok(cur):
+            strikes = _strikes(cur)
             for tup in pivot_tuples(cur, 1):
-                stack.append(child_spec(cur, tup))
+                child = canonical_key(tuple(ways[i] for ways, i in zip(strikes, tup)))
+                if child not in seen:
+                    stack.append((child, cur, tup))
 
 
 def _sign(perm: Sequence[int]) -> int:

@@ -89,8 +89,9 @@ def test_coeff_reads_parts_only_as_records_write_them(capsys, lam):
         ["expand", "--n", "3", "--k", "1", "--jobs", "\u0662"],
         ["shard", "--n", "3", "--k", "1", "--shards", "+2", "--index", "0"],
         ["shard", "--n", "3", "--k", "1", "--shards", "2", "--index", "0_0"],
+        ["grid", "--jobs", "+2"],
     ],
-    ids=["n-arabic-indic", "n-underscore", "k-plus", "jobs", "shards", "index"],
+    ids=["n-arabic-indic", "n-underscore", "k-plus", "jobs", "shards", "index", "grid-jobs"],
 )
 def test_integer_flags_take_only_ascii_decimals(capsys, args):
     # int() would count the (3,1) or (10,1) table, or run the command
@@ -967,6 +968,17 @@ def test_importing_the_cli_loads_neither_engine_nor_oracles():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_oracle_loads_no_engine():
+    engine = ("vanschur.coefficients", "vanschur.delta_engine")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, vanschur.oracle; print(sorted(m for m in {engine!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_merge_loads_neither_engine_nor_oracles(tmp_path, capsys):
     paths = _write_shards(tmp_path, capsys, 4, 1, 2)
     merged = tmp_path / "m.jsonl"
@@ -1025,13 +1037,12 @@ def test_expand_loads_no_dataclasses(tmp_path):
     assert len(out.read_text().splitlines()) == 16
 
 
-def test_run_tables_exits_quietly_with_141_on_a_closed_pipe():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
+def test_grid_exits_quietly_with_141_on_a_closed_pipe():
     # the default grid evaluates its tables for seconds, so rows are still to
     # come when the reader leaves after the header (admissible counts alone
     # are all written within milliseconds, before the reader may have left)
     with subprocess.Popen(
-        [sys.executable, script],
+        [sys.executable, "-m", "vanschur", "grid"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_src_env(),
@@ -1048,31 +1059,66 @@ def test_run_tables_exits_quietly_with_141_on_a_closed_pipe():
     assert code == 141
 
 
-def test_run_tables_rejects_zero_jobs():
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
-    proc = subprocess.run(
-        [sys.executable, script, "--jobs", "0"], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
-    assert "--jobs must be >= 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_grid_rejects_zero_jobs(capsys):
+    code, out, err = run_cli(["grid", "--jobs", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "vanschur grid: error: argument --jobs: must be >= 1, got 0"
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "value, message",
     [
-        (["--nmax-k1", "12"], "--nmax-k1 must be between 2 and 11, got 12"),
-        (["--nmax-k1", "1"], "--nmax-k1 must be between 2 and 11, got 1"),
+        ("12", "must be between 2 and 11, got 12"),
+        ("1", "must be between 2 and 11, got 1"),
+        ("\u0663", "not a decimal integer: '\u0663'"),
     ],
+    ids=["12", "1", "arabic-indic-3"],
 )
-def test_run_tables_rejects_a_bad_nmax_k1(args, message):
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_tables.py")
-    proc = subprocess.run(
-        [sys.executable, script, "--counts-only", *args], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
-    assert message in proc.stderr
-    assert proc.stdout == ""
+def test_grid_rejects_a_bad_nmax_k1(capsys, value, message):
+    code, out, err = run_cli(["grid", "--count-only", "--nmax-k1", value], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"vanschur grid: error: argument --nmax-k1: {message}"
+
+
+def _grid_rows(out):
+    """The k, n, admissible and vanishing columns of each row below the header."""
+    lines = out.splitlines()
+    assert lines[0] == " k   n   admissible  vanishing   seconds"
+    return [tuple(line.split()[:4]) for line in lines[1:]]
+
+
+def test_grid_count_only_reaches_eleven_letters(capsys):
+    code, out, err = run_cli(["grid", "--count-only", "--nmax-k1", "11"], capsys)
+    assert (code, err) == (0, "")
+    rows = _grid_rows(out)
+    assert len(rows) == 26
+    assert [r[1] for r in rows[:10]] == [str(n) for n in range(2, 12)]
+    assert rows[6] == ("1", "8", "5302", "-")
+    assert rows[8] == ("1", "10", "135670", "-")
+    assert {r[3] for r in rows} == {"-"}
+
+
+def test_grid_counts_vanishing_coefficients(capsys, monkeypatch):
+    # the (8,1) and (5,3) tables hold 8 and 2 vanishing coefficients
+    monkeypatch.setattr(cli, "DEFAULT_GRID", {1: range(2, 3), 3: range(5, 6)})
+    code, out, err = run_cli(["grid", "--jobs", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert _grid_rows(out) == [
+        ("1", "2", "2", "0"), ("1", "3", "5", "0"), ("1", "4", "16", "0"),
+        ("1", "5", "59", "0"), ("1", "6", "247", "0"), ("1", "7", "1111", "0"),
+        ("1", "8", "5302", "8"), ("3", "5", "2131", "2"),
+    ]
+
+
+def test_out_of_memory_in_grid_is_one_line_with_its_own_exit_code(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(coefficients, "count_vanishing", exhausted)
+    code, out, err = run_cli(["grid"], capsys)
+    assert code == cli.MEMORY_EXIT == 3
+    assert err == "error: out of memory in grid\n"
+    assert len(out.splitlines()) == 1
 
 
 def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):
@@ -1089,6 +1135,16 @@ def test_expand_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "cannot open output" in err
+
+
+@pytest.mark.parametrize("args", [["expand", "--n", "3", "--k", "1"],
+                                  ["shard", "--n", "3", "--k", "1", "--shards", "2", "--index", "0"]],
+                         ids=["expand", "shard"])
+def test_output_to_a_directory_is_one_line_and_no_output(tmp_path, capsys, args):
+    code, out, err = run_cli([*args, "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot open output {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_neither_target_nor_temp_file(tmp_path, capsys, monkeypatch):
